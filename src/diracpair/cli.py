@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import algebra, decaymodel, hydrogenic, kinematics, matcher, scatter1d, wavepacket
-from .core import Alternative, Constants, DEFAULT_CONSTANTS, load_constants
+from .core import Alternative, Constants, DEFAULT_CONSTANTS, load_constants, require_finite
 
 __all__ = ["main"]
 
@@ -129,14 +129,12 @@ def _cmd_scatter(args, constants) -> int:
     if args.emin <= 0 or args.emax <= args.emin:
         raise ValueError("need 0 < emin < emax")
     energies = np.linspace(args.emin, args.emax, args.steps)
-    rows = []
-    for e in energies:
-        if args.width is not None:
-            profile = scatter1d.PotentialProfile.barrier(args.v0, args.width)
-            res = scatter1d.barrier_transmission(alt, profile, float(e), constants)
-        else:
-            res = scatter1d.step_transmission(alt, args.v0, float(e), constants)
-        rows.append((float(e), res.T, res.R, res.classification))
+    if args.width is not None:
+        profile = scatter1d.PotentialProfile.barrier(args.v0, args.width)
+        res = scatter1d.barrier_transmission(alt, profile, energies, constants)
+    else:
+        res = scatter1d.step_transmission(alt, args.v0, energies, constants)
+    rows = list(zip(energies.tolist(), res.T.tolist(), res.R.tolist(), res.classification.tolist()))
     _emit(args, constants, ("E", "T", "R", "classification"), rows)
     return 0
 
@@ -372,10 +370,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_numbers(args) -> None:
+    """Reject a non-finite number flag or a step count below one before any work."""
+    for name, value in vars(args).items():
+        flag = "--" + name.replace("_", "-")
+        if isinstance(value, float):
+            require_finite(flag, value)
+        elif name.endswith("steps"):
+            require_finite(flag, value, positive=True)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numbers(args)
         constants = load_constants(args.config) if args.config else DEFAULT_CONSTANTS
         return args.func(args, constants)
     except (ValueError, OSError) as exc:

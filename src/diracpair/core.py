@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 __all__ = [
     "Alternative",
     "Constants",
@@ -21,6 +23,7 @@ __all__ = [
     "bisect_root",
     "energy_of_momentum",
     "load_constants",
+    "require_finite",
 ]
 
 # Convergence target for every bracketed bisection solve in the package.
@@ -102,6 +105,20 @@ def energy_of_momentum(p, constants: Constants = DEFAULT_CONSTANTS):
     """
     m = constants.electron_rest_energy
     return (p * p + m * m) ** 0.5
+
+
+def require_finite(name: str, value, positive: bool = False) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` (a number or a sequence) is finite.
+
+    With ``positive`` every number must also be > 0.  The one input check of
+    the package: dataclasses, packet construction and the CLI all call it, so
+    a nan or inf never reaches the numerics.
+    """
+    x = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if positive and not np.all(x > 0.0):
+        raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 def bisect_root(f, a: float, b: float, xtol: float, fa: float | None = None, fb: float | None = None) -> float:

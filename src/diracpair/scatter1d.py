@@ -16,17 +16,22 @@ Transmitted/incident modes are always selected by the sign of their carried
 current, which for these spinors equals the sign of the group velocity; with
 the opposite choice T falls outside [0, 1] in the regime where the D1 barrier
 turns transparent.
+
+Profiles are solved with scattering matrices rather than transfer matrices:
+every interface gets a 2x2 S-matrix from the modes on its two sides, every
+interior region contributes its propagation factor e^{ipw} (|.| <= 1, so an
+evanescent region only ever forms its decaying exponential), and the chain is
+joined by Redheffer star products, batched over regions and energies.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Alternative, Constants, DEFAULT_CONSTANTS, ROOT_TOLERANCE, bisect_root
+from .core import Alternative, Constants, DEFAULT_CONSTANTS, ROOT_TOLERANCE, bisect_root, require_finite
 
 __all__ = [
     "CLASSICAL",
@@ -54,6 +59,9 @@ KLEIN_ZONE = "klein_zone"
 GAP_BLOCKED = "gap_blocked"
 EVANESCENT_TUNNELING = "evanescent_tunneling"
 
+# in the order _transmission tests them; an object array hands out the shared str constants
+_CLASSIFICATIONS = np.array([GAP_BLOCKED, EVANESCENT_TUNNELING, KLEIN_ZONE, CLASSICAL], dtype=object)
+
 # Sweeps stay clear of the measure-zero mode boundaries E = V +- m where k or
 # kappa vanishes; behaviour there is defined by one-sided limits.
 _EDGE_MARGIN = 1e-9
@@ -71,6 +79,8 @@ class PotentialProfile:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        require_finite("profile edges", self.edges)
+        require_finite("profile values", self.values)
         if len(self.values) != len(self.edges) + 1:
             raise ValueError("need exactly one more region value than edges")
         if any(not b > a for a, b in zip(self.edges, self.edges[1:])):
@@ -115,246 +125,161 @@ class RegionMode:
 
 @dataclass(frozen=True)
 class ScatterResult:
+    """T, R and regime: Python floats and a str for one energy, arrays for an energy array."""
+
     T: float
     R: float
     classification: str
 
 
-def _effective_kinetic(alt: Alternative, v0: float, e: float) -> float | None:
-    """eps for the local eigenproblem, or None when D2 forbids any mode."""
+def _mode_table(alt: Alternative, values, e: np.ndarray, m: float):
+    """Mode content of every region at every energy, as arrays of shape (regions, energies).
+
+    Returns ``(forbidden, eps, lam)``: True where D2 admits no mode, the
+    effective kinetic energy, and the spinor ratio lam = sqrt((eps - m)/(eps + m))
+    of the right-moving mode e^{ipz} (1, lam); the left-moving mode is
+    e^{-ipz} (1, -lam), with p = lam (eps + m).  A propagating region has lam
+    real and positive and p = +-k (the sign of eps); an evanescent one has lam
+    and p = i kappa on the positive imaginary axis, so e^{ipz} decays
+    rightward.  The exact gap edges |eps| = m, where the two modes coincide,
+    are moved into the gap by the edge margin (the one-sided limit).
+    """
+    v = np.asarray(values, dtype=float)[:, None]
     if alt is Alternative.D1:
-        return e - v0
-    if e == 0.0:
-        return None
-    sign = 1.0 if e > 0.0 else -1.0
-    xi = abs(e) - v0
-    if xi <= 0.0:
-        return None
-    return sign * xi
+        eps = e - v
+        forbidden = np.zeros(eps.shape, dtype=bool)
+    else:
+        xi = np.abs(e) - v
+        eps = np.sign(e) * xi
+        forbidden = (xi <= 0.0) | (e == 0.0)
+    eps = np.where(np.abs(eps) == m, eps * (1.0 - _EDGE_MARGIN), eps)
+    lam = np.sqrt((eps - m) / (eps + m) + 0j)
+    return forbidden, eps, lam
 
 
 def dispersion(alt: Alternative, v0: float, e: float, constants: Constants = DEFAULT_CONSTANTS) -> RegionMode:
     """Classify the mode content of a constant-potential region at energy E."""
     m = constants.m
-    eps = _effective_kinetic(alt, v0, e)
-    if eps is None:
+    forbidden, eps, lam = _mode_table(alt, (v0,), np.array([float(e)]), m)
+    if forbidden[0, 0]:
         return RegionMode(regime=FORBIDDEN, k=0.0, spinor_ratio=0.0j)
-    if abs(eps) > m:
-        k = math.sqrt(eps * eps - m * m)
-        # Positive-current mode: q = +k on the upper branch, q = -k on the lower.
-        q = k if eps > 0.0 else -k
-        ratio = (eps - m) / q
-        return RegionMode(regime=PROPAGATING, k=k, spinor_ratio=complex(ratio))
-    kappa = math.sqrt(m * m - eps * eps)
-    if kappa == 0.0:
-        # exact gap edges, defined by one-sided limits: the decaying spinor
-        # tends to (1, 0) at eps = +m and to (0, 1) at eps = -m
-        ratio = 0.0j if eps > 0.0 else complex(0.0, math.inf)
-        return RegionMode(regime=EVANESCENT, k=0.0, spinor_ratio=ratio)
-    ratio = 1.0j * (eps - m) / (-kappa)  # rightward-decaying mode e^{-kappa z}
-    return RegionMode(regime=EVANESCENT, k=kappa, spinor_ratio=ratio)
+    eps, lam = float(eps[0, 0]), complex(lam[0, 0])
+    regime = PROPAGATING if abs(eps) > m else EVANESCENT
+    return RegionMode(regime=regime, k=abs(lam * (eps + m)), spinor_ratio=lam)
 
 
-def _modes(alt: Alternative, v0: float, e: float, m: float):
-    """Both local modes of a region as (q, ratio) pairs, or None if forbidden.
+def _star_reduce(s):
+    """Compose a chain of 2x2 scattering matrices by pairwise Redheffer star products.
 
-    Ordering: propagating -> (positive-current, negative-current);
-    evanescent -> (decaying rightward, growing rightward).
+    ``s`` stacks (S11, S12, S21, S22) along its first axis, the chain along the
+    second and energies along the third.  Each level joins neighbours (0, 1),
+    (2, 3), ... in one set of array operations, so a chain of n matrices takes
+    log2(n) levels.  Returns the (S11, S21) of the whole chain.
     """
-    eps = _effective_kinetic(alt, v0, e)
-    if eps is None:
-        return None
-    if abs(eps) > m:
-        k = math.sqrt(eps * eps - m * m)
-        q_fwd = k if eps > 0.0 else -k
-        return ((1j * q_fwd, complex((eps - m) / q_fwd)), (-1j * q_fwd, complex(-(eps - m) / q_fwd)))
-    kappa = math.sqrt(m * m - eps * eps)
-    return ((-kappa + 0j, 1j * (eps - m) / (-kappa)), (kappa + 0j, 1j * (eps - m) / kappa))
+    while s.shape[1] > 1:
+        even = s.shape[1] // 2 * 2
+        a11, a12, a21, a22 = s[:, 0:even:2]
+        b11, b12, b21, b22 = s[:, 1:even:2]
+        d = 1.0 / (1.0 - a22 * b11)
+        joined = np.stack(
+            (a11 + a12 * b11 * a21 * d, a12 * b12 * d, b21 * a21 * d, b22 + b21 * a22 * b12 * d)
+        )
+        s = np.concatenate((joined, s[:, even:]), axis=1)
+    return s[0, 0], s[2, 0]
 
 
-def step_transmission(alt: Alternative, v0: float, e: float, constants: Constants = DEFAULT_CONSTANTS) -> ScatterResult:
-    """Transmission/reflection for the semi-infinite step V(z>0) = V0, analytic matching.
-
-    D2 for E > V0 + m follows the closed form T = 4r/(1+r)^2 with
-    r = sqrt((E-(V0+m))/(E-(V0-m))) * sqrt((E+m)/(E-m)); everywhere below
-    that edge no current can enter the step and T = 0.  D1 matches both
-    spinor components at the interface, including the regime m < E < V0 - m
-    where the step supports lower-branch propagating modes.
-    """
+def _transmission(alt: Alternative, values, edges, e, constants: Constants) -> ScatterResult:
+    """T, R and regime across the regions ``values`` at one energy or an array of them."""
     m = constants.m
-    if e <= m:
-        raise ValueError("no incident propagating mode: need E > m on the V = 0 side")
-    lam_in = math.sqrt(e * e - m * m) / (e + m)
+    energies = np.atleast_1d(np.asarray(e, dtype=float))
+    forbidden, eps, lam = _mode_table(alt, values, energies, m)
+    propagating = ~forbidden & (np.abs(eps) > m)
+    if not propagating[0].all():
+        raise ValueError("no incident propagating mode in the leftmost region")
+    blocked = forbidden.any(axis=0) | ~propagating[-1]
+    tunnelling = (~propagating[1:-1]).any(axis=0)
+    klein = (propagating & (eps < 0.0)).any(axis=0)
+    classification = _CLASSIFICATIONS[np.select([blocked, tunnelling, klein], [0, 1, 2], 3)]
 
-    if alt is Alternative.D2:
-        if e > v0 + m:
-            r = math.sqrt((e - (v0 + m)) / (e - (v0 - m))) * math.sqrt((e + m) / (e - m))
-            t = 4.0 * r / (1.0 + r) ** 2
-            return ScatterResult(T=t, R=1.0 - t, classification=CLASSICAL)
-        return ScatterResult(T=0.0, R=1.0, classification=GAP_BLOCKED)
+    # Interface j joins region j to region j+1, with amplitudes referenced at
+    # the interface; the propagation across region j+1 is folded into it.
+    total = lam[:-1] + lam[1:]
+    s11 = (lam[:-1] - lam[1:]) / total
+    phase = np.ones_like(total)
+    phase[:-1] = np.exp(1j * lam[1:-1] * (eps[1:-1] + m) * np.diff(np.asarray(edges, dtype=float))[:, None])
+    rho, tau = _star_reduce(
+        np.stack((s11, 2.0 * lam[1:] / total * phase, 2.0 * lam[:-1] / total * phase, -s11 * phase**2))
+    )
 
-    mode = dispersion(alt, v0, e, constants)
-    if mode.regime == PROPAGATING:
-        lam_out = mode.spinor_ratio.real
-        t = 4.0 * lam_in * lam_out / (lam_in + lam_out) ** 2
-        cls = CLASSICAL if e > v0 + m else KLEIN_ZONE
-        return ScatterResult(T=t, R=1.0 - t, classification=cls)
-    return ScatterResult(T=0.0, R=1.0, classification=GAP_BLOCKED)
+    # T >= 0 by construction; the bound T <= 1 can be missed by an ulp near full transparency
+    t = np.where(blocked, 0.0, np.minimum(np.abs(tau) ** 2 * lam[-1].real / lam[0].real, 1.0))
+    r = np.where(blocked, 1.0, np.abs(rho) ** 2)
+    if np.ndim(e) == 0:
+        return ScatterResult(T=float(t[0]), R=float(r[0]), classification=classification[0])
+    return ScatterResult(T=t, R=r, classification=classification)
+
+
+def step_transmission(alt: Alternative, v0: float, e, constants: Constants = DEFAULT_CONSTANTS) -> ScatterResult:
+    """Transmission/reflection for the semi-infinite step V(z>0) = V0.
+
+    Incidence is from the free side at E > m.  D2 for E > V0 + m follows
+    T = 4r/(1+r)^2 with r = lam_out/lam_in; everywhere below that edge no
+    current can enter the step and T = 0.  D1 also transmits in the Klein
+    zone m < E < V0 - m, where the step supports lower-branch propagating
+    modes.  ``e`` is one energy or a 1-D array of them.
+    """
+    return _transmission(alt, (0.0, float(v0)), (0.0,), e, constants)
 
 
 def barrier_transmission(
     alt: Alternative,
     profile: PotentialProfile,
-    e: float,
+    e,
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> ScatterResult:
     """T and R across an arbitrary piecewise-constant profile.
 
-    Both spinor components are matched at every edge and the resulting linear
-    system solved for the reflection and transmission amplitudes.  Interior
-    D2-forbidden regions act as hard walls (T = 0, R = 1); interior evanescent
-    regions attenuate exponentially.  Requires propagating asymptotic modes on
-    the incident side; an evanescent far side gives T = 0 exactly.
+    One scattering matrix per interface, built from the region modes, is
+    combined with the propagation factor e^{ipw} of each interior region and
+    the chain is joined by Redheffer star products.  Only the decaying
+    exponential of an evanescent region is ever formed, so thick barriers
+    cannot overflow and T >= 0 holds by construction.  Interior D2-forbidden
+    regions act as hard walls (T = 0, R = 1); an evanescent far side gives
+    T = 0, R = 1 exactly.  Requires propagating asymptotic modes on the
+    incident side.  ``e`` is one energy (the result holds Python floats and a
+    str) or a 1-D array of them (the result holds arrays).
     """
-    m = constants.m
-    values = profile.values
-    edges = profile.edges
-    n = len(values)
-
-    left = dispersion(alt, values[0], e, constants)
-    if left.regime != PROPAGATING:
-        raise ValueError("no incident propagating mode in the leftmost region")
-    region_modes = [_modes(alt, v, e, m) for v in values]
-    if any(mm is None for mm in region_modes):
-        return ScatterResult(T=0.0, R=1.0, classification=GAP_BLOCKED)
-    right = dispersion(alt, values[-1], e, constants)
-    if right.regime != PROPAGATING:
-        # Far side decays: nothing is transmitted, and unit reflection follows
-        # from current conservation with a purely imaginary far-side ratio.
-        classification = GAP_BLOCKED
-    else:
-        classification = _classify(alt, values, e, constants)
-
-    # Unknowns: rho, (a_j, b_j) per interior region, tau.
-    n_unknown = 2 * (n - 1)
-    a_mat = np.zeros((n_unknown, n_unknown), dtype=complex)
-    rhs = np.zeros(n_unknown, dtype=complex)
-
-    def basis(j: int, which: int, z: float) -> np.ndarray:
-        """Spinor of mode ``which`` of region j evaluated at z (edge-referenced)."""
-        q, ratio = region_modes[j][which]
-        if j == 0:
-            z0 = edges[0]
-        else:
-            z0 = edges[j - 1]
-        ph = cmath.exp(q * (z - z0))
-        return np.array([ph, ratio * ph], dtype=complex)
-
-    # Column layout: [rho | a_1 b_1 ... a_{n-2} b_{n-2} | tau]
-    def col_of(j: int, which: int) -> int:
-        if j == 0:
-            return 0  # rho multiplies the reflected (negative-current) mode
-        if j == n - 1:
-            return n_unknown - 1  # tau multiplies the outgoing/decaying mode
-        return 1 + 2 * (j - 1) + which
-
-    for eidx, x in enumerate(edges):
-        jl, jr = eidx, eidx + 1
-        for comp in range(2):
-            row = 2 * eidx + comp
-            # Left-region contribution.
-            if jl == 0:
-                rhs[row] = -basis(0, 0, x)[comp]  # incident amplitude fixed to 1
-                a_mat[row, col_of(0, 1)] += basis(0, 1, x)[comp]
-            else:
-                for which in (0, 1):
-                    a_mat[row, col_of(jl, which)] += basis(jl, which, x)[comp]
-            # Right-region contribution, moved to the left-hand side.
-            if jr == n - 1:
-                a_mat[row, col_of(jr, 0)] -= basis(jr, 0, x)[comp]
-            else:
-                for which in (0, 1):
-                    a_mat[row, col_of(jr, which)] -= basis(jr, which, x)[comp]
-        # Right asymptote keeps only its outgoing/decaying mode: nothing to add,
-        # the growing/incoming column simply does not exist.
-
-    sol = np.linalg.solve(a_mat, rhs)
-    rho = sol[0]
-    tau = sol[-1]
-    lam_in = left.spinor_ratio.real
-    lam_out = region_modes[-1][0][1].real  # zero for an evanescent far side
-    t = float(abs(tau) ** 2 * lam_out / lam_in)
-    if abs(t) < 1e-15:
-        t = 0.0  # keep the 0 <= T invariant against signed-zero roundoff
-    r = float(abs(rho) ** 2)
-    return ScatterResult(T=t, R=r, classification=classification)
-
-
-def _classify(alt, values, e, constants) -> str:
-    interior = [dispersion(alt, v, e, constants) for v in values[1:-1]]
-    if any(mode.regime == EVANESCENT for mode in interior):
-        return EVANESCENT_TUNNELING
-    klein = False
-    for v in values:
-        eps = _effective_kinetic(alt, v, e)
-        if eps is not None and eps < 0.0 and abs(eps) > constants.m:
-            klein = True
-    return KLEIN_ZONE if klein else CLASSICAL
+    return _transmission(alt, profile.values, profile.edges, e, constants)
 
 
 # --- bound states -------------------------------------------------------------
 #
 # In the real form phi1' = -(E - V + m) phi2, phi2' = (E - V - m) phi1
 # (obtained from psi = (phi1, i phi2)) every piecewise-constant solution is
-# real, so the 4x4 matching determinant for a square well is a real-valued,
-# sign-changing function of E suitable for a scan + bisection.
+# real, so the square-well level condition is a real-valued, sign-changing
+# function of E suitable for a scan + bisection.
 
 
-def _phi_basis(e: float, v: float, m: float):
-    """Two real solution branches (phi1, phi2, and their z-evolution) in one region."""
-    a = e - v + m
-    b = e - v - m
-    prod = a * b  # = eps^2 - m^2
-    if prod > 0.0:
-        k = math.sqrt(prod)
+def _well_secular(e, depth: float, width: float, m: float, oscillating: bool):
+    """Level condition of the well V = -depth on (0, width); zero at bound states.
 
-        def sol(z, c1, c2):
-            # phi1 = c1 cos(kz) + c2 sin(kz); phi2 = -phi1'/a
-            phi1 = c1 * math.cos(k * z) + c2 * math.sin(k * z)
-            dphi1 = k * (-c1 * math.sin(k * z) + c2 * math.cos(k * z))
-            return phi1, -dphi1 / a
-
+    The left decaying solution (phi1, phi2) = (1, -mu), mu = kappa/(E + m), is
+    carried across the well by phi1(w) = C phi1 - a S phi2 and
+    phi2(w) = C phi2 + b S phi1 (a = E + depth + m, b = E + depth - m,
+    C = cos kw, S = sin(kw)/k, k^2 = ab) and must arrive with the right
+    decaying ratio phi2/phi1 = mu.  Where ab < 0 the cosh/sinh transfer is
+    divided by cosh(kw), which keeps the sign and cannot overflow.  ``e`` may
+    be an array; ``oscillating`` (ab > 0) must hold for all of it.
+    """
+    a = e + depth + m
+    b = e + depth - m
+    k = np.sqrt(np.abs(a * b))
+    if oscillating:
+        c, s = np.cos(k * width), np.sin(k * width) / k
     else:
-        kappa = math.sqrt(-prod)
-
-        def sol(z, c1, c2):
-            phi1 = c1 * math.cosh(kappa * z) + c2 * math.sinh(kappa * z)
-            dphi1 = kappa * (c1 * math.sinh(kappa * z) + c2 * math.cosh(kappa * z))
-            return phi1, -dphi1 / a
-
-    return sol
-
-
-def _well_determinant(e: float, depth: float, width: float, m: float) -> float:
-    """Matching determinant for the well V = -depth on (0, width); zero at bound states."""
-    kappa = math.sqrt(m * m - e * e)
-    # Exterior decaying solutions: left ~ e^{+kappa z}, right ~ e^{-kappa z}.
-    mu_left = -kappa / (e + m)
-    mu_right = kappa / (e + m)
-    interior = _phi_basis(e, -depth, m)
-    i10, i20 = interior(0.0, 1.0, 0.0)
-    j10, j20 = interior(0.0, 0.0, 1.0)
-    i1w, i2w = interior(width, 1.0, 0.0)
-    j1w, j2w = interior(width, 0.0, 1.0)
-    mat = np.array(
-        [
-            [1.0, -i10, -j10, 0.0],
-            [mu_left, -i20, -j20, 0.0],
-            [0.0, i1w, j1w, -1.0],
-            [0.0, i2w, j2w, -mu_right],
-        ]
-    )
-    return float(np.linalg.det(mat))
+        c, s = 1.0, np.tanh(k * width) / k
+    mu = np.sqrt(m * m - e * e) / (e + m)
+    return (b * s - mu * c) - mu * (c + a * mu * s)
 
 
 def square_well_bound_states(
@@ -371,7 +296,7 @@ def square_well_bound_states(
     same equation, but only roots with 0 < E < m exist on the positive branch
     (the mirror negatives follow by the spectrum symmetry), so the search
     window shrinks accordingly.  Roots come from a uniform scan of the
-    matching determinant plus bisection.
+    closed-form level condition plus bisection.
     """
     if depth < 0.0 or width <= 0.0:
         raise ValueError("need depth >= 0 and width > 0")
@@ -392,11 +317,12 @@ def square_well_bound_states(
         if not b > a:
             continue
         grid = np.linspace(a, b, n_scan)
-        vals = np.array([_well_determinant(x, depth, width, m) for x in grid])
+        oscillating = abs(0.5 * (a + b) + depth) > m
+        vals = _well_secular(grid, depth, width, m, oscillating)
         sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
         for idx in sign_change:
             root = bisect_root(
-                lambda x: _well_determinant(x, depth, width, m),
+                lambda x: float(_well_secular(x, depth, width, m, oscillating)),
                 float(grid[idx]),
                 float(grid[idx + 1]),
                 xtol,

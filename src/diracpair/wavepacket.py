@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Constants, DEFAULT_CONSTANTS, energy_of_momentum
+from .core import Constants, DEFAULT_CONSTANTS, energy_of_momentum, require_finite
 
 __all__ = [
     "GaussianSpec",
@@ -39,8 +39,7 @@ class GaussianSpec:
     d_width: float
 
     def __post_init__(self) -> None:
-        if self.d_width <= 0.0:
-            raise ValueError("d_width must be positive")
+        require_finite("d_width", self.d_width, positive=True)
 
 
 @dataclass(frozen=True)
@@ -89,20 +88,24 @@ def gaussian_amplitudes(
     ratio grows toward 1 only when q approaches m, so wide packets are almost
     purely positive-energy.  ``d_scale`` multiplies dstar before normalization
     (used to probe how interference scales with the negative-energy content).
-    Raises when the grid is too narrow to hold the packet (estimated
-    normalization loss > 1e-6).
+    Raises when the grid does not hold the packet: ``center`` +- 6/d off
+    the grid, a spacing wider than the packet's momentum width 1/d, or an
+    estimated normalization loss > 1e-6.
     """
+    require_finite("center", center)
     if grid is None:
         grid = default_grid(spec.d_width, constants=constants)
     grid = np.asarray(grid, dtype=float)
-    span = grid[-1] - grid[0]
-    if span < 12.0 / spec.d_width:  # +-6/d around the center
-        raise ValueError("grid too narrow: need a span of at least 12/d_width")
+    reach = 6.0 / spec.d_width
+    if not grid[0] + reach <= center <= grid[-1] - reach:
+        raise ValueError("grid too narrow: it must cover center +- 6/d_width")
+    dp = float(grid[1] - grid[0])
+    if dp * spec.d_width > 1.0:
+        raise ValueError("grid too coarse to resolve the packet: need a spacing of at most 1/d_width")
     m = constants.m
     e = energy_of_momentum(grid, constants)
     b = np.exp(-0.5 * (grid - center) ** 2 * spec.d_width**2).astype(complex)
     dstar = d_scale * b * grid / (e + m)
-    dp = float(grid[1] - grid[0])
     density = np.abs(b) ** 2 + np.abs(dstar) ** 2
     total = float(np.sum(density) * dp)
     # Estimate of probability sitting outside the grid from the edge cells.

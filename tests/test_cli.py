@@ -235,3 +235,44 @@ def test_config_override_changes_header_and_values(tmp_path, capsys):
     value = float(out.strip().splitlines()[2].split(",")[4])
     # shifted off the CODATA value (409.41761) by the mass override
     assert value == pytest.approx(409.41845, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("scatter", "--alt", "d1", "--v0", "nan", "--emin", "600", "--emax", "3000", "--steps", "50"), "--v0"),
+        (("scatter", "--alt", "d2", "--v0", "900", "--width", "0.004", "--emin", "600", "--emax", "3000", "--steps", "0"), "--steps"),
+        (("counting-time", "--x0", "1", "--xmin", "0.1", "--xmax", "nan", "--steps", "10"), "--xmax"),
+    ],
+)
+def test_invalid_number_exits_2_with_message(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("zbw", "--dwidth", "1000", "--tmax", "0.2", "--tsteps", "20"), "coarse"),
+        (("zbw", "--dwidth", "0.002", "--tmax", "0.2", "--tsteps", "20", "--p0", "1e5"), "narrow"),
+    ],
+)
+def test_packet_the_grid_cannot_hold_exits_2_with_message(capsys, argv, reason):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert reason in err
+
+
+def test_thick_barrier_sweep_succeeds(capsys):
+    code, out, _ = run_cli(
+        capsys, "scatter", "--alt", "d1", "--v0", "1533", "--width", "1.7", "--emin", "933", "--emax", "2133", "--steps", "50"
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[2:]]
+    assert len(rows) == 50
+    for _, t, r, _ in rows:
+        assert 0.0 <= float(t) <= 1.0
+        assert abs(float(t) + float(r) - 1.0) <= 1e-9

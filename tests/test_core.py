@@ -11,6 +11,7 @@ from diracpair.core import (
     bisect_root,
     energy_of_momentum,
     load_constants,
+    require_finite,
 )
 
 M = DEFAULT_CONSTANTS.electron_rest_energy
@@ -76,3 +77,15 @@ def test_bisect_root():
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-11)
     with pytest.raises(ValueError):
         bisect_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-9)
+
+
+def test_require_finite():
+    require_finite("x", 1.5)
+    require_finite("xs", (0.0, -2.0, 3.0))
+    require_finite("n", 3, positive=True)
+    for bad in (math.nan, math.inf, -math.inf, (1.0, math.nan)):
+        with pytest.raises(ValueError, match="x must be finite"):
+            require_finite("x", bad)
+    for bad in (0, -1.0, (1.0, 0.0)):
+        with pytest.raises(ValueError, match="n must be positive"):
+            require_finite("n", bad, positive=True)

@@ -277,18 +277,28 @@ def test_d1_d2_bound_levels_agree_on_positive_part():
 
 
 def test_bound_state_wavefunction_matches_at_edges():
-    # reconstruct the interior solution from the left matching and verify the
+    # carry the left decaying solution across the well with the exponential of
+    # the real-form generator (phi1' = -a phi2, phi2' = b phi1) and verify the
     # right-edge matching residual is at the root-finding tolerance
     depth, width = 1.5 * M, 2.0 / M
     levels = sc.square_well_bound_states(D1, depth, width)
+    assert levels
     for e in levels:
         kappa = math.sqrt(M * M - e * e)
         mu_l = -kappa / (e + M)
         mu_r = kappa / (e + M)
-        sol = sc._phi_basis(e, -depth, M)
-        # interior coefficients from the left edge: phi(0) = (1, mu_l)
-        i0 = np.array([sol(0.0, 1.0, 0.0), sol(0.0, 0.0, 1.0)]).T  # 2x2
-        c = np.linalg.solve(i0, np.array([1.0, mu_l]))
-        phi_w = np.array(sol(width, c[0], c[1]))
+        generator = np.array([[0.0, -(e + depth + M)], [e + depth - M, 0.0]]) * width
+        w, v = np.linalg.eig(generator)
+        transfer = (v @ np.diag(np.exp(w)) @ np.linalg.inv(v)).real
+        phi_w = transfer @ np.array([1.0, mu_l])
         residual = abs(phi_w[1] - mu_r * phi_w[0]) / (abs(phi_w[0]) + abs(phi_w[1]))
         assert residual < 1e-6
+
+
+def test_profile_rejects_non_finite_numbers():
+    with pytest.raises(ValueError, match="finite"):
+        sc.PotentialProfile(edges=(0.0, 1.0 / M), values=(0.0, math.nan, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        sc.PotentialProfile(edges=(0.0, math.inf), values=(0.0, M, 0.0))
+    with pytest.raises(ValueError):
+        sc.PotentialProfile.barrier(M, math.nan)

@@ -168,3 +168,18 @@ def test_unnormalized_packet_rejected():
         wp.probability_current(broken, 0.0)
     with pytest.raises(ValueError):
         wp.charge_current(broken)
+
+
+def test_non_finite_packet_parameters_rejected():
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            wp.GaussianSpec(d_width=bad)
+    with pytest.raises(ValueError):
+        wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1.0 / M), center=math.nan)
+
+
+def test_unresolved_or_off_grid_packet_rejected():
+    with pytest.raises(ValueError, match="coarse"):
+        wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1000.0))
+    with pytest.raises(ValueError, match="narrow"):
+        wp.gaussian_amplitudes(wp.GaussianSpec(d_width=0.002), center=1e5)
