@@ -63,7 +63,6 @@ class ConjugationMatrix:
     """Unitary C with C alpha* C^-1 = alpha and C beta* C^-1 = -beta."""
 
     C: np.ndarray
-    phase_convention: complex = 1.0 + 0.0j
 
 
 @dataclass(frozen=True)
@@ -206,7 +205,7 @@ def find_conjugation_matrix(m: DiracMatrices, constants: Constants = DEFAULT_CON
     idx = np.unravel_index(np.argmax(np.abs(c)), c.shape)
     phase = c[idx] / abs(c[idx])
     c = c / phase
-    return ConjugationMatrix(C=c, phase_convention=1.0 / phase)
+    return ConjugationMatrix(C=c)
 
 
 def casimir_projectors(p, constants: Constants = DEFAULT_CONSTANTS) -> tuple[np.ndarray, np.ndarray]:
@@ -260,7 +259,6 @@ def charge_current_identity(p, axis: int, constants: Constants = DEFAULT_CONSTAN
 
 @dataclass(frozen=True)
 class _Transform:
-    name: str
     matrix: np.ndarray
     conjugate: bool
 
@@ -292,9 +290,9 @@ def transformation_checks(
         fields = FieldConfig()
     mats = build_matrices()
     conj = find_conjugation_matrix(mats, constants)
-    c = _Transform("C", conj.C, conjugate=True)
-    par = _Transform("P", mats.beta.copy(), conjugate=False)
-    tau = _Transform("tau", 1.0j * conj.C, conjugate=True)
+    c = _Transform(conj.C, conjugate=True)
+    par = _Transform(mats.beta.copy(), conjugate=False)
+    tau = _Transform(1.0j * conj.C, conjugate=True)
 
     p = np.asarray(p, dtype=float)
     h0 = free_hamiltonian(mats, p, constants)

@@ -8,6 +8,7 @@ keV, and identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -21,6 +22,8 @@ __all__ = ["main"]
 
 
 def _fmt(x) -> str:
+    if type(x) is float:
+        return f"{x:.10g}"
     if isinstance(x, bool):
         return str(x).lower()
     if isinstance(x, float):
@@ -69,7 +72,7 @@ def _emit(args, constants, columns, rows, payload=None, extra_header=None) -> No
     else:
         out.append(",".join(columns))
         for row in rows:
-            out.append(",".join(_fmt(v) for v in row))
+            out.append(",".join(map(_fmt, row)))
     sys.stdout.write("\n".join(out) + "\n")
 
 
@@ -283,6 +286,7 @@ def _cmd_lineshape(args, constants) -> int:
 # --- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diracpair",
@@ -381,8 +385,14 @@ def _check_numbers(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; return 0 on success, 2 on invalid input, 1 on an internal error.
+
+    The parser is built on the first call and reused by every later call in
+    the process, so each subcommand's handler is the one bound at that
+    first build.  Reuse carries no per-call state: ``parse_args`` returns a
+    fresh namespace and argparse writes usage errors to the current stderr.
+    """
+    args = _build_parser().parse_args(argv)
     try:
         _check_numbers(args)
         constants = load_constants(args.config) if args.config else DEFAULT_CONSTANTS

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -147,12 +146,3 @@ def bisect_root(f, a: float, b: float, xtol: float, fa: float | None = None, fb:
         else:
             b, fb = mid, fm
     return 0.5 * (a + b)
-
-
-def _format_float(x: float) -> str:
-    """Render a float with 10 significant digits (shared CLI convention)."""
-    return f"{x:.10g}"
-
-
-def _isclose_rel(a: float, b: float, rel: float) -> bool:
-    return math.isclose(a, b, rel_tol=rel, abs_tol=rel)

@@ -114,10 +114,8 @@ def _load_ion_database() -> dict[str, IonSpecies]:
 ION_DATABASE: dict[str, IonSpecies] = _load_ion_database()
 
 
-def get_ion(symbol: str, extra: dict[str, IonSpecies] | None = None) -> IonSpecies:
-    """Look up an ion by symbol in the built-in database (plus optional extras)."""
-    if extra and symbol in extra:
-        return extra[symbol]
+def get_ion(symbol: str) -> IonSpecies:
+    """Look up an ion by symbol in the built-in database."""
     try:
         return ION_DATABASE[symbol]
     except KeyError:

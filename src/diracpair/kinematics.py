@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Constants, DEFAULT_CONSTANTS, bisect_root
+from .core import Constants, DEFAULT_CONSTANTS, bisect_root, require_finite
 
 __all__ = [
     "IonBoost",
@@ -71,8 +71,7 @@ class PairSolution:
 
 def boost_from_beam_energy(x: float) -> IonBoost:
     """Boost for a beam energy of x MeV per nucleon: gamma_I = 1 + 0.001 x."""
-    if x <= 0.0:
-        raise ValueError("beam energy must be positive")
+    require_finite("beam energy", x, positive=True)
     gamma_i = 1.0 + 0.001 * x
     beta_i = math.sqrt(1.0 - 1.0 / (gamma_i * gamma_i))
     return IonBoost(x_mev_per_nucleon=x, gamma_i=gamma_i, beta_i=beta_i)

@@ -49,7 +49,6 @@ class Packet:
     p_grid: np.ndarray
     b: np.ndarray
     dstar: np.ndarray
-    norm: float = 1.0
 
     @property
     def dp(self) -> float:
@@ -65,7 +64,6 @@ class Packet:
             p_grid=self.p_grid,
             b=self.b * np.exp(-1.0j * e * t),
             dstar=self.dstar * np.exp(+1.0j * e * t),
-            norm=self.norm,
         )
 
 
@@ -113,7 +111,7 @@ def gaussian_amplitudes(
     if loss > 1e-6:
         raise ValueError("grid too narrow: estimated normalization loss exceeds 1e-6")
     scale = 1.0 / math.sqrt(total)
-    return Packet(p_grid=grid, b=b * scale, dstar=dstar * scale, norm=1.0)
+    return Packet(p_grid=grid, b=b * scale, dstar=dstar * scale)
 
 
 def _require_normalized(packet: Packet) -> None:

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diracpair.cli import main
+import diracpair
+from diracpair.cli import _build_parser, main
 
 
 def run_cli(capsys, *args):
@@ -14,9 +21,11 @@ def run_cli(capsys, *args):
 
 
 def run_module(*args):
-    # exercise python -m diracpair end to end
+    # exercise python -m diracpair end to end, on the package these tests import
+    src = str(Path(diracpair.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     cmd = [sys.executable, "-m", "diracpair", *args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
 def test_module_help():
@@ -276,3 +285,108 @@ def test_thick_barrier_sweep_succeeds(capsys):
     for _, t, r, _ in rows:
         assert 0.0 <= float(t) <= 1.0
         assert abs(float(t) + float(r) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("x_text", ["NaN", "Infinity"])
+def test_match_non_finite_beam_energy_exits_2_with_message(tmp_path, capsys, x_text):
+    path = tmp_path / "catalog.json"
+    path.write_text(
+        '[{"system": "U+Pb", "spectrometer": "sum", "observable": "pair_sum_kinetic",'
+        f' "observed_keV": 576, "x_mev_per_u": {x_text}}}]'
+    )
+    code, out, err = run_cli(capsys, "match", "--catalog", str(path))
+    assert code == 2
+    assert out == ""
+    assert "beam energy" in err
+
+
+# --- parser reuse ---------------------------------------------------------------
+#
+# main() builds its parser once per process; these tests pin down that a call
+# sees nothing of the calls made before it.
+
+SWEEP = ("scatter", "--alt", "d1", "--v0", "1533", "--width", "0.004", "--emin", "600", "--emax", "2600", "--steps", "20")
+
+
+def first_call(capsys, *args):
+    """Run ``args`` on a freshly built parser, as the first call of a process would."""
+    _build_parser.cache_clear()
+    return run_cli(capsys, *args)
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_json_call_leaves_default_csv_unchanged(capsys):
+    fresh = first_call(capsys, *SWEEP)
+    assert run_cli(capsys, "--format", "json", *SWEEP)[0] == 0
+    assert run_cli(capsys, *SWEEP) == fresh
+
+
+def test_config_call_leaves_default_header(tmp_path, capsys):
+    cfg = tmp_path / "constants.json"
+    cfg.write_text(json.dumps({"m_e_keV": 511.0}))
+    fresh = first_call(capsys, "levels", "--ion", "Pb", "--shells", "K")
+    assert run_cli(capsys, "--config", str(cfg), "levels", "--ion", "Pb", "--shells", "K")[1].startswith("# m_e_keV=511 ")
+    again = run_cli(capsys, "levels", "--ion", "Pb", "--shells", "K")
+    assert again == fresh
+    assert again[1].startswith("# m_e_keV=510.99895")
+
+
+def test_rejected_call_leaves_next_call_unchanged(capsys):
+    fresh = first_call(capsys, *SWEEP)
+    with pytest.raises(SystemExit) as exc:
+        main(["scatter", "--alt", "d3"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run_cli(capsys, *SWEEP) == fresh
+
+
+# The README examples, shrunk where they are slow, plus rejected ones.
+_REUSE_POOL = (
+    ("--format", "json", "algebra-check", "--n-random", "2"),
+    ("scatter", "--alt", "d2", "--v0", "1533", "--emin", "520", "--emax", "5110", "--steps", "100"),
+    ("scatter", "--alt", "d1", "--v0", "1533", "--width", "0.004", "--emin", "600", "--emax", "2600"),
+    ("scatter", "--alt", "d1", "--well-depth", "766.5", "--well-width", "0.0039"),
+    ("levels", "--ion", "Pb", "--shells", "K,L1,L2"),
+    ("transitions", "--ion", "Pb"),
+    ("zbw", "--dwidth", "0.002", "--tmax", "0.2", "--tsteps", "20", "--p0", "1022"),
+    ("kinematics", "--deps", "818.8", "--x", "6", "--theta", "45", "--branch", "+", "--format", "json"),
+    ("kinematics", "invert", "--deps", "818.835", "--branch", "+", "--target", "576"),
+    ("counting-time", "--x0", "1", "--xmin", "0.1", "--xmax", "10", "--steps", "200"),
+    ("lineshape", "--deps", "818.8", "--tmin", "800", "--tmax", "900", "--steps", "200"),
+    ("scatter", "--alt", "d1", "--v0", "nan", "--emin", "600", "--emax", "3000"),
+    ("levels", "--ion", "Xx"),
+    ("kinematics", "invert", "--deps", "818.835", "--branch", "+"),
+    ("levels", "--ion", "Pb", "--bogus", "1"),
+    ("scatter", "--alt", "d1"),
+    ("--format", "xml", "transitions", "--ion", "Pb"),
+)
+
+
+def _quiet_call(argv):
+    """(exit code, stdout) of one in-process call, with stdout and stderr captured."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fresh_outputs():
+    outputs = {}
+    for argv in _REUSE_POOL:
+        _build_parser.cache_clear()
+        outputs[argv] = _quiet_call(argv)
+    return outputs
+
+
+@settings(max_examples=20, deadline=None)
+@given(order=st.permutations(_REUSE_POOL))
+def test_output_does_not_depend_on_earlier_calls(fresh_outputs, order):
+    for argv in order:
+        assert _quiet_call(argv) == fresh_outputs[argv], argv

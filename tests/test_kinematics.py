@@ -16,8 +16,9 @@ def test_boost_from_beam_energy():
     for x in (0.5, 3.0, 6.0, 20.0):
         b = kin.boost_from_beam_energy(x)
         assert b.gamma_i**2 * (1.0 - b.beta_i**2) == pytest.approx(1.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        kin.boost_from_beam_energy(0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="beam energy"):
+            kin.boost_from_beam_energy(bad)
 
 
 def test_small_beam_energy_limit():
