@@ -22,12 +22,10 @@ __all__ = ["main"]
 
 
 def _fmt(x) -> str:
-    if type(x) is float:
+    if isinstance(x, float):
         return f"{x:.10g}"
     if isinstance(x, bool):
         return str(x).lower()
-    if isinstance(x, float):
-        return f"{x:.10g}"
     if x is None:
         return ""
     return str(x)
@@ -385,12 +383,11 @@ def _check_numbers(args) -> None:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; return 0 on success, 2 on invalid input, 1 on an internal error.
+    """Run one subcommand and return its exit code.
 
     The parser is built on the first call and reused by every later call in
     the process, so each subcommand's handler is the one bound at that
-    first build.  Reuse carries no per-call state: ``parse_args`` returns a
-    fresh namespace and argparse writes usage errors to the current stderr.
+    first build.
     """
     args = _build_parser().parse_args(argv)
     try:

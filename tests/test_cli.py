@@ -305,7 +305,7 @@ def test_match_non_finite_beam_energy_exits_2_with_message(tmp_path, capsys, x_t
 # main() builds its parser once per process; these tests pin down that a call
 # sees nothing of the calls made before it.
 
-SWEEP = ("scatter", "--alt", "d1", "--v0", "1533", "--width", "0.004", "--emin", "600", "--emax", "2600", "--steps", "20")
+CONFIG_M511 = str(Path(__file__).parent / "data" / "constants_m511.json")
 
 
 def first_call(capsys, *args):
@@ -318,38 +318,23 @@ def test_parser_is_built_once():
     assert _build_parser() is _build_parser()
 
 
-def test_json_call_leaves_default_csv_unchanged(capsys):
-    fresh = first_call(capsys, *SWEEP)
-    assert run_cli(capsys, "--format", "json", *SWEEP)[0] == 0
-    assert run_cli(capsys, *SWEEP) == fresh
-
-
-def test_config_call_leaves_default_header(tmp_path, capsys):
-    cfg = tmp_path / "constants.json"
-    cfg.write_text(json.dumps({"m_e_keV": 511.0}))
+def test_config_call_leaves_default_header(capsys):
     fresh = first_call(capsys, "levels", "--ion", "Pb", "--shells", "K")
-    assert run_cli(capsys, "--config", str(cfg), "levels", "--ion", "Pb", "--shells", "K")[1].startswith("# m_e_keV=511 ")
+    assert run_cli(capsys, "--config", CONFIG_M511, "levels", "--ion", "Pb", "--shells", "K")[1].startswith("# m_e_keV=511 ")
     again = run_cli(capsys, "levels", "--ion", "Pb", "--shells", "K")
     assert again == fresh
     assert again[1].startswith("# m_e_keV=510.99895")
 
 
-def test_rejected_call_leaves_next_call_unchanged(capsys):
-    fresh = first_call(capsys, *SWEEP)
-    with pytest.raises(SystemExit) as exc:
-        main(["scatter", "--alt", "d3"])
-    assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
-    assert run_cli(capsys, *SWEEP) == fresh
-
-
-# The README examples, shrunk where they are slow, plus rejected ones.
+# The README examples, shrunk where they are slow, a --config call, and
+# rejected calls.
 _REUSE_POOL = (
     ("--format", "json", "algebra-check", "--n-random", "2"),
     ("scatter", "--alt", "d2", "--v0", "1533", "--emin", "520", "--emax", "5110", "--steps", "100"),
     ("scatter", "--alt", "d1", "--v0", "1533", "--width", "0.004", "--emin", "600", "--emax", "2600"),
     ("scatter", "--alt", "d1", "--well-depth", "766.5", "--well-width", "0.0039"),
     ("levels", "--ion", "Pb", "--shells", "K,L1,L2"),
+    ("--config", CONFIG_M511, "levels", "--ion", "Pb", "--shells", "K,L1,L2"),
     ("transitions", "--ion", "Pb"),
     ("zbw", "--dwidth", "0.002", "--tmax", "0.2", "--tsteps", "20", "--p0", "1022"),
     ("kinematics", "--deps", "818.8", "--x", "6", "--theta", "45", "--branch", "+", "--format", "json"),
