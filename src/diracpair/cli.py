@@ -3,6 +3,11 @@
 Every run prints the constants in effect in the report header.  Floating
 output is rendered with 10 significant digits, all energies on the wire are
 keV, and identical invocations produce byte-identical output.
+
+Only the pure-``math`` modules are imported here.  numpy and the modules
+built on it load inside the handlers that use them, so the subcommands that
+never touch numpy (``levels``, ``transitions``, ``kinematics``, ``match``,
+``reproduce-tables``) do not pay for its import.
 """
 
 from __future__ import annotations
@@ -13,9 +18,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import algebra, decaymodel, hydrogenic, kinematics, matcher, scatter1d, wavepacket
+from . import hydrogenic, kinematics, matcher
 from .core import Alternative, Constants, DEFAULT_CONSTANTS, load_constants, require_finite
 
 __all__ = ["main"]
@@ -78,6 +81,10 @@ def _emit(args, constants, columns, rows, payload=None, extra_header=None) -> No
 
 
 def _cmd_algebra_check(args, constants) -> int:
+    import numpy as np
+
+    from . import algebra
+
     rng = np.random.default_rng(args.seed)
     mats = algebra.build_matrices()
     worst: dict[str, float] = {}
@@ -116,6 +123,10 @@ def _cmd_algebra_check(args, constants) -> int:
 
 
 def _cmd_scatter(args, constants) -> int:
+    import numpy as np
+
+    from . import scatter1d
+
     alt = Alternative.from_string(args.alt)
     if args.well_depth is not None:
         # bound-state mode: levels of the attractive square well
@@ -165,6 +176,10 @@ def _cmd_transitions(args, constants) -> int:
 
 
 def _cmd_zbw(args, constants) -> int:
+    import numpy as np
+
+    from . import wavepacket
+
     spec = wavepacket.GaussianSpec(d_width=args.dwidth)
     packet = wavepacket.gaussian_amplitudes(spec, center=args.p0, constants=constants)
     times = np.linspace(0.0, args.tmax, args.tsteps)
@@ -253,6 +268,10 @@ def _cmd_reproduce_tables(args, constants) -> int:
 
 
 def _cmd_counting_time(args, constants) -> int:
+    import numpy as np
+
+    from . import decaymodel
+
     if args.xmin <= 0 or args.xmax <= args.xmin:
         raise ValueError("need 0 < xmin < xmax")
     xs = np.linspace(args.xmin, args.xmax, args.steps)
@@ -269,6 +288,10 @@ def _cmd_counting_time(args, constants) -> int:
 
 
 def _cmd_lineshape(args, constants) -> int:
+    import numpy as np
+
+    from . import decaymodel
+
     if args.tmax <= args.tmin:
         raise ValueError("need tmin < tmax")
     params = decaymodel.LineShapeParams(
@@ -373,12 +396,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_numbers(args) -> None:
-    """Reject a non-finite number flag or a step count below one before any work."""
+    """Reject a non-finite number flag or a count (steps, top-k, n-random) below one before any work."""
     for name, value in vars(args).items():
         flag = "--" + name.replace("_", "-")
         if isinstance(value, float):
             require_finite(flag, value)
-        elif name.endswith("steps"):
+        elif name.endswith("steps") or name in ("top_k", "n_random"):
             require_finite(flag, value, positive=True)
 
 

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 __all__ = [
     "Alternative",
@@ -111,12 +110,20 @@ def require_finite(name: str, value, positive: bool = False) -> None:
 
     With ``positive`` every number must also be > 0.  The one input check of
     the package: dataclasses, packet construction and the CLI all call it, so
-    a nan or inf never reaches the numerics.
+    a nan or inf never reaches the numerics.  A Python ``int`` or ``float``
+    is checked with ``math``; anything else goes through numpy, imported
+    here so that importing the package does not load it.
     """
-    x = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if isinstance(value, (int, float)):
+        finite, pos = math.isfinite(value), value > 0.0
+    else:
+        import numpy as np
+
+        x = np.asarray(value, dtype=float)
+        finite, pos = bool(np.all(np.isfinite(x))), bool(np.all(x > 0.0))
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
-    if positive and not np.all(x > 0.0):
+    if positive and not pos:
         raise ValueError(f"{name} must be positive, got {value!r}")
 
 

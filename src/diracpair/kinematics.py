@@ -83,18 +83,28 @@ def _check_branch(branch: str) -> float:
     return +1.0 if branch == "+" else -1.0
 
 
-def gamma_e_solutions(delta_eps: float, r: float, constants: Constants = DEFAULT_CONSTANTS) -> tuple[float, float]:
-    """Both closed-form roots (gamma_plus, gamma_minus) of the emission equation."""
+def _gamma_excess(delta_eps: float, r: float, constants: Constants) -> tuple[float, float]:
+    """Both roots of the emission equation as (gamma_plus - 1, gamma_minus - 1).
+
+    The closed form gamma_minus = (1 + d - R root)/(1 - R^2), with
+    root = sqrt(d (2 + d) + R^2), loses the digits of gamma_minus - 1 when
+    R^2 >> d, and sqrt(gamma^2 - 1) taken from gamma loses more.  The two excesses multiply to d^2/(1 - R^2), so
+    gamma_minus - 1 follows from gamma_plus - 1 as a quotient of positive
+    terms.
+    """
     if not 0.0 <= r < 1.0:
         raise ValueError("R must lie in [0, 1)")
     if delta_eps < 0.0:
         raise ValueError("delta_eps must be non-negative")
     d = delta_eps / (2.0 * constants.m)
-    one_minus_r2 = 1.0 - r * r
-    root = math.sqrt(d * (2.0 + d) + r * r)
-    base = (1.0 + d) / one_minus_r2
-    shift = r * root / one_minus_r2
-    return base + shift, base - shift
+    lifted = d + r * (r + math.sqrt(d * (2.0 + d) + r * r))
+    return lifted / (1.0 - r * r), (d * (d / lifted) if d > 0.0 else 0.0)
+
+
+def gamma_e_solutions(delta_eps: float, r: float, constants: Constants = DEFAULT_CONSTANTS) -> tuple[float, float]:
+    """Both closed-form roots (gamma_plus, gamma_minus) of the emission equation."""
+    plus, minus = _gamma_excess(delta_eps, r, constants)
+    return 1.0 + plus, 1.0 + minus
 
 
 def defining_residual(gamma_e: float, delta_eps: float, r: float, branch: str, constants: Constants = DEFAULT_CONSTANTS) -> float:
@@ -125,9 +135,10 @@ def lab_pair_energy(
     sign = _check_branch(branch)
     m = constants.m
     r = (boost.beta_i / boost.gamma_i) * math.cos(theta_e)
-    g_plus, g_minus = gamma_e_solutions(delta_eps, r, constants)
-    gamma_e = g_plus if sign > 0 else g_minus
-    gb = math.sqrt(max(gamma_e * gamma_e - 1.0, 0.0))  # gamma_e * beta_e
+    plus, minus = _gamma_excess(delta_eps, r, constants)
+    excess = plus if sign > 0 else minus
+    gamma_e = 1.0 + excess
+    gb = math.sqrt(excess * (excess + 2.0))  # gamma_e * beta_e
     t_lab = (boost.gamma_i - 1.0) * 2.0 * m + boost.gamma_i * (
         delta_eps
         - 2.0 * m * ((1.0 + boost.gamma_i) / boost.gamma_i) * gb * boost.beta_i * math.cos(theta_e)

@@ -214,6 +214,8 @@ def match_peak(
     """
     if not candidates:
         raise ValueError("empty candidate list")
+    if top_k < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k!r}")
     target = record.comparison_value
     ranked = sorted(
         candidates,

@@ -14,18 +14,26 @@ import diracpair
 from diracpair.cli import _build_parser, main
 
 
+# one valid record, so that only a count flag can be at fault
+CATALOG_576 = str(Path(__file__).parent / "data" / "catalog_u_pb_576.json")
+
+
 def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
+def child_env():
+    """Environment for a fresh interpreter that imports the package these tests import."""
+    src = str(Path(diracpair.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def run_module(*args):
     # exercise python -m diracpair end to end, on the package these tests import
-    src = str(Path(diracpair.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     cmd = [sys.executable, "-m", "diracpair", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, env=child_env())
 
 
 def test_module_help():
@@ -252,6 +260,11 @@ def test_config_override_changes_header_and_values(tmp_path, capsys):
         (("scatter", "--alt", "d1", "--v0", "nan", "--emin", "600", "--emax", "3000", "--steps", "50"), "--v0"),
         (("scatter", "--alt", "d2", "--v0", "900", "--width", "0.004", "--emin", "600", "--emax", "3000", "--steps", "0"), "--steps"),
         (("counting-time", "--x0", "1", "--xmin", "0.1", "--xmax", "nan", "--steps", "10"), "--xmax"),
+        (("match", "--catalog", CATALOG_576, "--top-k", "-1"), "--top-k"),
+        (("match", "--catalog", CATALOG_576, "--top-k", "0"), "--top-k"),
+        (("match", "--catalog", CATALOG_576, "--top-k", "-100"), "--top-k"),
+        (("algebra-check", "--n-random", "-3"), "--n-random"),
+        (("algebra-check", "--n-random", "0"), "--n-random"),
     ],
 )
 def test_invalid_number_exits_2_with_message(capsys, argv, flag):
@@ -375,3 +388,51 @@ def fresh_outputs():
 def test_output_does_not_depend_on_earlier_calls(fresh_outputs, order):
     for argv in order:
         assert _quiet_call(argv) == fresh_outputs[argv], argv
+
+
+# --- lazy numpy -------------------------------------------------------------------
+#
+# numpy and the modules built on it load only in the subcommands that use them.
+
+_NUMPY_FREE_ARGVS = (
+    ("transitions", "--ion", "Pb"),
+    ("levels", "--ion", "Pb", "--shells", "K,L1,L2"),
+    ("kinematics", "invert", "--deps", "818.835", "--branch", "+", "--target", "576"),
+    ("reproduce-tables",),
+)
+
+
+def run_fresh(code):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+
+
+def test_numpy_free_subcommands_do_not_import_numpy():
+    code = f"""
+import contextlib, io, sys
+import diracpair
+assert "numpy" not in sys.modules, "import diracpair"
+import diracpair.cli
+assert "numpy" not in sys.modules, "import diracpair.cli"
+for argv in {_NUMPY_FREE_ARGVS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        exit_code = diracpair.cli.main(list(argv))
+    assert exit_code == 0, (argv, exit_code)
+    assert "numpy" not in sys.modules, argv
+"""
+    cp = run_fresh(code)
+    assert cp.returncode == 0, cp.stderr
+
+
+def test_scatter_loads_numpy_on_demand():
+    code = """
+import contextlib, io, sys
+import diracpair.cli
+assert "numpy" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    exit_code = diracpair.cli.main(["scatter", "--alt", "d2", "--v0", "1533", "--emin", "520", "--emax", "5110", "--steps", "20"])
+assert exit_code == 0, exit_code
+assert "numpy" in sys.modules
+assert len(out.getvalue().splitlines()) == 2 + 20
+"""
+    cp = run_fresh(code)
+    assert cp.returncode == 0, cp.stderr

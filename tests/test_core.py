@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diracpair.core import (
     Alternative,
@@ -89,3 +91,39 @@ def test_require_finite():
     for bad in (0, -1.0, (1.0, 0.0)):
         with pytest.raises(ValueError, match="n must be positive"):
             require_finite("n", bad, positive=True)
+
+
+def _require_finite_before(name, value, positive=False):
+    """``require_finite`` with every value through np.asarray: the reference for its scalar branch."""
+    x = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if positive and not np.all(x > 0.0):
+        raise ValueError(f"{name} must be positive, got {value!r}")
+
+
+def _outcome(check, value, positive):
+    try:
+        check("x", value, positive=positive)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_any_float = st.floats(allow_nan=True, allow_infinity=True)
+_checked_values = st.one_of(
+    _any_float,
+    st.sampled_from((0.0, -0.0, 0, -1, 1, True, False, math.nan, math.inf, -math.inf)),
+    st.integers(),
+    st.booleans(),
+    _any_float.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.lists(st.one_of(_any_float, st.integers()), min_size=1, max_size=1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_checked_values, positive=st.booleans())
+@example(value=10**400, positive=False)
+def test_require_finite_scalar_branch_matches_array_check(value, positive):
+    assert _outcome(require_finite, value, positive) == _outcome(_require_finite_before, value, positive)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from diracpair import kinematics as kin
 from diracpair.core import DEFAULT_CONSTANTS, bisect_root
@@ -159,3 +161,46 @@ def test_t_lab_monotone_in_cos_theta_minus_branch():
         ts = [kin.lab_pair_energy(BOOST6, deps, math.radians(float(d)), "-").t_lab for d in degs]
         # decreasing cos => increasing T on the '-' branch
         assert all(b > a for a, b in zip(ts, ts[1:]))
+
+
+# --- properties -------------------------------------------------------------------
+
+_branches = st.sampled_from(("+", "-"))
+_beam_energies = st.floats(0.5, 500.0)  # MeV/u
+_transition_energies = st.floats(1.0, 1021.0)  # keV
+# opening half-angles in degrees; below 1e-300 the radian value underflows to 0
+_angles = st.floats(1e-300, 90.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(deps=st.floats(1.0, 2000.0), r=st.floats(0.0, 0.9))
+def test_branch_roots_agree_with_bisection_oracle(deps, r):
+    # Both residuals are d > 0 at gamma = 1.  The "-" one falls monotonically
+    # and is <= 0 at 1 + d; the "+" one is <= -1 at (2 + d)/(1 - R) and
+    # changes sign once on the way.  Each bracket therefore holds exactly one
+    # root, found without the closed form.
+    d = deps / (2.0 * M)
+    gp, gm = kin.gamma_e_solutions(deps, r)
+    for g, branch, upper in ((gp, "+", (2.0 + d) / (1.0 - r)), (gm, "-", 1.0 + d)):
+        oracle = bisect_root(lambda x: kin.defining_residual(x, deps, r, branch), 1.0, upper, 1e-13)
+        assert g == pytest.approx(oracle, rel=1e-10, abs=0.0), branch
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=_beam_energies,
+    deps=_transition_energies,
+    branch=_branches,
+    a=_angles,
+    b=_angles,
+)
+# gamma_minus - 1 = 8e-6 here, below the rounding of a difference of two O(1) numbers
+@example(x=33.0, deps=1.0, branch="-", a=1e-3, b=1e-300)
+def test_t_lab_increases_strictly_with_theta(x, deps, branch, a, b):
+    # the precondition for solving T_lab(theta) = target with a single bracket on (0, 90]
+    lo, hi = sorted((a, b))
+    assume(hi - lo >= 1e-3)
+    boost = kin.boost_from_beam_energy(x)
+    t_lo = kin.lab_pair_energy(boost, deps, math.radians(lo), branch).t_lab
+    t_hi = kin.lab_pair_energy(boost, deps, math.radians(hi), branch).t_lab
+    assert t_lo < t_hi

@@ -97,6 +97,14 @@ def test_match_peak_u_pb_576(table1):
     assert residuals == sorted(residuals)
 
 
+@pytest.mark.parametrize("top_k", [0, -1, -100])
+def test_match_peak_rejects_top_k_below_one(table1, top_k):
+    rec = table1[0]
+    cands = matcher.candidate_transitions(*rec.system)
+    with pytest.raises(ValueError, match="top_k"):
+        matcher.match_peak(rec, cands, top_k=top_k)
+
+
 def test_match_peak_positron_row(table2):
     rec = next(r for r in table2 if r.system_name == "U+U" and r.spectrometer == "orange")
     cands = matcher.candidate_transitions(*rec.system)

@@ -68,6 +68,15 @@ def test_array_call_equals_scalar_calls(alt, profile, factors):
         assert (one.T, one.R, one.classification) == (batch.T[i], batch.R[i], batch.classification[i])
 
 
+@PROPERTY
+@given(st.floats(-5.0, 5.0), st.floats(0.0, 10.0))
+def test_d2_spectrum_is_symmetric(v, f):
+    # D2 couples the potential through sgn(E): the modes at -E mirror those at +E
+    up, down = sc.dispersion(D2, v * M, f * M), sc.dispersion(D2, v * M, -f * M)
+    assert up.regime == down.regime
+    assert math.isclose(up.k, down.k, rel_tol=1e-12, abs_tol=0.0)
+
+
 def test_array_call_rejects_a_non_propagating_incident_side():
     with pytest.raises(ValueError):
         sc.barrier_transmission(D1, sc.PotentialProfile.barrier(M, 1.0 / M), np.array([2.0 * M, 0.5 * M]))
