@@ -184,10 +184,8 @@ def _cmd_zbw(args, constants) -> int:
     packet = wavepacket.gaussian_amplitudes(spec, center=args.p0, constants=constants)
     times = np.linspace(0.0, args.tmax, args.tsteps)
     charge = wavepacket.charge_current(packet, constants)
-    rows = [
-        (float(t), wavepacket.probability_current(packet, float(t), constants), charge)
-        for t in times
-    ]
+    prob = wavepacket.probability_current(packet, times, constants)
+    rows = [(t, j, charge) for t, j in zip(times.tolist(), prob.tolist())]
     extra = {"neg_energy_fraction": wavepacket.negative_energy_fraction(packet)}
     _emit(args, constants, ("t", "prob_current", "charge_current"), rows, extra_header=extra)
     return 0
@@ -395,13 +393,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Largest count a flag (steps, top-k, n-random) accepts: far above any real
+# sweep, and small enough that the grids it sizes fit in memory.
+_MAX_COUNT = 10**6
+
+
 def _check_numbers(args) -> None:
-    """Reject a non-finite number flag or a count (steps, top-k, n-random) below one before any work."""
+    """Reject a non-finite number flag or a count (steps, top-k, n-random) outside [1, 10^6] before any work."""
     for name, value in vars(args).items():
         flag = "--" + name.replace("_", "-")
         if isinstance(value, float):
             require_finite(flag, value)
         elif name.endswith("steps") or name in ("top_k", "n_random"):
+            if value > _MAX_COUNT:
+                raise ValueError(f"{flag} must be at most {_MAX_COUNT}")
             require_finite(flag, value, positive=True)
 
 

@@ -9,6 +9,9 @@ Hermitian operator, the charge current e <p/E> has no cross terms and is a
 constant of the motion, while the probability current <alpha> picks up the
 interference terms oscillating at angular frequency 2 E_q whose amplitude is
 set by |dstar|.
+
+``probability_current`` takes one time or an array of times; a whole series
+is one call, evaluated over bounded blocks of the (time x momentum) phases.
 """
 
 from __future__ import annotations
@@ -19,6 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Constants, DEFAULT_CONSTANTS, energy_of_momentum, require_finite
+
+# Phases per block of the probability-current kernel: 64 KiB for each of the
+# cosine and sine blocks.  Blocks of 2^17 phases ran no faster and left about
+# 4 MB more peak RSS in a long in-process run; 2^13 to 2^15 left none.
+_PHASE_BLOCK = 1 << 13
 
 __all__ = [
     "GaussianSpec",
@@ -126,22 +134,37 @@ def negative_energy_fraction(packet: Packet) -> float:
     return float(np.sum(np.abs(packet.dstar) ** 2) * dp)
 
 
-def probability_current(packet: Packet, t: float, constants: Constants = DEFAULT_CONSTANTS) -> float:
+def probability_current(packet: Packet, t, constants: Constants = DEFAULT_CONSTANTS):
     """<alpha>(t): drift term plus interference oscillating at 2 E_q.
 
     The diagonal term weights each branch with its group velocity +-q/E_q;
     the cross term couples b and dstar through the spinor matrix element
     u(q)^dag alpha v(q) = m/E_q and rotates with phase e^{2 i E_q t}.
+
+    ``t`` is a scalar or an array of times.  A scalar (or 0-d array) gives a
+    float, an array gives an array of its shape.  The interference term is
+    2 (Re w cos 2E_q t - Im w sin 2E_q t) summed over q, with w from
+    :func:`zitterbewegung_weight`, taken over blocks of at most
+    ``_PHASE_BLOCK`` phases so memory stays bounded for any number of times.
     """
     _require_normalized(packet)
     q = packet.p_grid
     e = energy_of_momentum(q, constants)
-    dp = packet.dp
-    diag = np.sum((np.abs(packet.b) ** 2 - np.abs(packet.dstar) ** 2) * (q / e)) * dp
-    cross = 2.0 * np.sum(
-        np.real(np.conj(packet.b) * packet.dstar * (constants.m / e) * np.exp(2.0j * e * t))
-    ) * dp
-    return float(diag + cross)
+    drift = np.sum((np.abs(packet.b) ** 2 - np.abs(packet.dstar) ** 2) * (q / e)) * packet.dp
+    w = zitterbewegung_weight(packet, constants)
+    times = np.asarray(t, dtype=float)
+    flat = times.ravel()
+    cross = np.empty(flat.shape)
+    rows = max(1, _PHASE_BLOCK // q.size)
+    for start in range(0, flat.size, rows):
+        phase = np.multiply.outer(2.0 * flat[start : start + rows], e)
+        cos = np.cos(phase)
+        sin = np.sin(phase, out=phase)
+        cross[start : start + rows] = cos @ w.real - sin @ w.imag
+    current = drift + 2.0 * cross
+    if times.ndim == 0:
+        return float(current[0])
+    return current.reshape(times.shape)
 
 
 def zitterbewegung_weight(packet: Packet, constants: Constants = DEFAULT_CONSTANTS) -> np.ndarray:

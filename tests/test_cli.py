@@ -265,6 +265,8 @@ def test_config_override_changes_header_and_values(tmp_path, capsys):
         (("match", "--catalog", CATALOG_576, "--top-k", "-100"), "--top-k"),
         (("algebra-check", "--n-random", "-3"), "--n-random"),
         (("algebra-check", "--n-random", "0"), "--n-random"),
+        (("scatter", "--alt", "d1", "--v0", "1533", "--emin", "520", "--emax", "5110", "--steps", "9" * 401), "--steps"),
+        (("lineshape", "--deps", "818.8", "--tmin", "800", "--tmax", "900", "--steps", "100000000000"), "--steps"),
     ],
 )
 def test_invalid_number_exits_2_with_message(capsys, argv, flag):
@@ -272,6 +274,12 @@ def test_invalid_number_exits_2_with_message(capsys, argv, flag):
     assert code == 2
     assert out == ""
     assert flag in err
+
+
+def test_count_at_the_ceiling_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "match", "--catalog", CATALOG_576, "--top-k", "1000000")
+    assert code == 0
+    assert len(out.splitlines()) > 2
 
 
 @pytest.mark.parametrize(

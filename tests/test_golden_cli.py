@@ -1,9 +1,13 @@
-"""`diracpair scatter` output held to a capture taken before the S-matrix rewrite.
+"""CLI output held to captures taken before the kernels under it were rewritten.
 
-    PYTHONPATH=src python tests/test_golden_cli.py   # rewrites tests/data/golden_scatter.json
+`scatter` is compared with a capture taken before the S-matrix rewrite and
+`zbw` with one taken before the probability current was batched over times.
 
-Regenerate only to add cases, never to absorb a changed number: the capture
-is the reference the scattering core is compared against.
+    PYTHONPATH=src python tests/test_golden_cli.py scatter   # rewrites tests/data/golden_scatter.json
+    PYTHONPATH=src python tests/test_golden_cli.py zbw       # rewrites tests/data/golden_zbw.json
+
+Regenerate only to add cases, never to absorb a changed number: a capture
+is the reference its kernel is compared against.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ import pytest
 
 from diracpair.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden_scatter.json"
+DATA = Path(__file__).resolve().parent / "data"
 ABS_TOL = 1e-12
 
-CASES = (
+SCATTER_CASES = (
     # the README examples
     ("scatter", "--alt", "d2", "--v0", "1533", "--emin", "520", "--emax", "5110", "--steps", "100"),
     ("scatter", "--alt", "d1", "--v0", "1533", "--width", "0.004", "--emin", "600", "--emax", "2600"),
@@ -43,6 +47,23 @@ CASES = (
     ("scatter", "--alt", "d2", "--well-depth", "400", "--well-width", "0.035"),
     ("scatter", "--alt", "d1", "--well-depth", "200", "--well-width", "0.004"),
 )
+
+ZBW_CASES = (
+    # the README example
+    ("zbw", "--dwidth", "0.002", "--tmax", "0.2", "--tsteps", "400", "--p0", "1022"),
+    # narrow and boosted packets shaped like the benchmark's 800-step series
+    ("zbw", "--dwidth", "0.000316", "--tmax", "0.03", "--tsteps", "800", "--p0", "240"),
+    ("zbw", "--dwidth", "0.0075", "--tmax", "0.2", "--tsteps", "800", "--p0", "750"),
+    ("zbw", "--dwidth", "0.001", "--tmax", "0.05", "--tsteps", "120", "--p0", "511", "--format", "json"),
+    # centred packet: both currents are rounding noise around zero
+    ("zbw", "--dwidth", "0.002", "--tmax", "0.2", "--tsteps", "200"),
+    # a single time
+    ("zbw", "--dwidth", "0.002", "--tmax", "0.2", "--tsteps", "1", "--p0", "1022"),
+)
+
+CASES = {"scatter": SCATTER_CASES, "zbw": ZBW_CASES}
+# columns compared exactly as text; every other column within ABS_TOL
+EXACT = {"classification", "level", "t"}
 
 
 def _run(argv) -> tuple[int, str]:
@@ -68,15 +89,20 @@ def _header(text: str):
     return [line for line in text.splitlines() if line.startswith("#")]
 
 
+def _golden_path(command: str) -> Path:
+    return DATA / f"golden_{command}.json"
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
-    cases = json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"]
-    return {tuple(c["argv"]): c for c in cases}
+    out = {}
+    for command in CASES:
+        cases = json.loads(_golden_path(command).read_text(encoding="utf-8"))["cases"]
+        out.update((tuple(c["argv"]), c) for c in cases)
+    return out
 
 
-@pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv[1:]))
-def test_scatter_output_matches_golden(golden, argv):
-    case = golden[argv]
+def _assert_matches_golden(case: dict, argv) -> None:
     code, text = _run(argv)
     assert code == case["exit"]
     assert _header(text) == _header(case["stdout"])
@@ -85,26 +111,47 @@ def test_scatter_output_matches_golden(golden, argv):
     for g, w in zip(got, want):
         assert g.keys() == w.keys()
         for key in g:
-            if key in ("classification", "level"):
+            if key in EXACT:
                 assert g[key] == w[key]
             else:
                 assert abs(float(g[key]) - float(w[key])) <= ABS_TOL, (key, g, w)
 
 
+def _ids(argv) -> str:
+    return " ".join(argv[1:])
+
+
+@pytest.mark.parametrize("argv", SCATTER_CASES, ids=_ids)
+def test_scatter_output_matches_golden(golden, argv):
+    _assert_matches_golden(golden[argv], argv)
+
+
+@pytest.mark.parametrize("argv", ZBW_CASES, ids=_ids)
+def test_zbw_output_matches_golden(golden, argv):
+    _assert_matches_golden(golden[argv], argv)
+
+
 def test_scatter_output_is_byte_identical_between_runs():
-    for argv in CASES:
+    for argv in SCATTER_CASES:
         assert _run(argv) == _run(argv)
 
 
-def capture() -> None:
+def test_zbw_output_is_byte_identical_between_runs():
+    for argv in ZBW_CASES:
+        assert _run(argv) == _run(argv)
+
+
+def capture(command: str) -> None:
     cases = []
-    for argv in CASES:
+    for argv in CASES[command]:
         code, text = _run(argv)
         cases.append({"argv": list(argv), "exit": code, "stdout": text})
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({"cases": cases}, indent=1) + "\n", encoding="utf-8")
+    DATA.mkdir(exist_ok=True)
+    _golden_path(command).write_text(json.dumps({"cases": cases}, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
-    capture()
+    if len(sys.argv) != 2 or sys.argv[1] not in CASES:
+        sys.exit(f"usage: {sys.argv[0]} {{{','.join(CASES)}}}")
+    capture(sys.argv[1])
     sys.exit(0)

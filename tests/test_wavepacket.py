@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from diracpair import wavepacket as wp
 from diracpair.core import DEFAULT_CONSTANTS, energy_of_momentum
@@ -65,8 +68,8 @@ def test_positive_only_current_is_constant():
     j0 = wp.probability_current(pk, 0.0)
     drift = float(np.sum(np.abs(pk.b) ** 2 * pk.p_grid / energy_of_momentum(pk.p_grid)) * pk.dp)
     assert j0 == pytest.approx(drift, rel=1e-12)
-    for t in np.linspace(0.0, 100.0 / M, 11):
-        assert abs(wp.probability_current(pk, float(t)) - j0) < 1e-9
+    currents = wp.probability_current(pk, np.linspace(0.0, 100.0 / M, 11))
+    assert np.max(np.abs(currents - j0)) < 1e-9
 
 
 def test_mixed_packet_oscillates_at_twice_the_energy():
@@ -77,7 +80,7 @@ def test_mixed_packet_oscillates_at_twice_the_energy():
     omega_expected = 2.0 * float(energy_of_momentum(qstar))
     dt = 0.05 / M
     n = 4096
-    sig = np.array([wp.probability_current(pk, i * dt) for i in range(n)])
+    sig = wp.probability_current(pk, np.arange(n) * dt)
     sig -= sig.mean()
     spectrum = np.abs(np.fft.rfft(sig * np.hanning(n), n=16 * n))
     freqs = np.fft.rfftfreq(16 * n, dt) * 2.0 * math.pi
@@ -89,7 +92,7 @@ def test_time_average_returns_to_drift():
     pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=6.0 / M), center=2.0 * M)
     e = energy_of_momentum(pk.p_grid)
     drift = float(np.sum((np.abs(pk.b) ** 2 - np.abs(pk.dstar) ** 2) * pk.p_grid / e) * pk.dp)
-    avg = float(np.mean([wp.probability_current(pk, float(t)) for t in np.linspace(0.0, 400.0 / M, 2001)]))
+    avg = float(np.mean(wp.probability_current(pk, np.linspace(0.0, 400.0 / M, 2001))))
     assert avg == pytest.approx(drift, rel=1e-3)
 
 
@@ -99,8 +102,8 @@ def test_interference_amplitude_linear_in_dstar():
     ratios = []
     for scale in (0.5, 1.0, 2.0):
         pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1.0 / M), center=0.8 * M, d_scale=scale)
-        vals = [wp.probability_current(pk, float(t)) for t in times]
-        amp = (max(vals) - min(vals)) / 2.0
+        vals = wp.probability_current(pk, times)
+        amp = float(np.ptp(vals)) / 2.0
         nb = math.sqrt(float(np.sum(np.abs(pk.b) ** 2) * pk.dp))
         nd = math.sqrt(float(np.sum(np.abs(pk.dstar) ** 2) * pk.dp))
         ratios.append(amp / (nb * nd))
@@ -166,6 +169,8 @@ def test_unnormalized_packet_rejected():
     broken = wp.Packet(p_grid=pk.p_grid, b=2.0 * pk.b, dstar=pk.dstar)
     with pytest.raises(ValueError):
         wp.probability_current(broken, 0.0)
+    with pytest.raises(ValueError, match="not normalized"):
+        wp.probability_current(broken, np.linspace(0.0, 1.0 / M, 5))
     with pytest.raises(ValueError):
         wp.charge_current(broken)
 
@@ -183,3 +188,45 @@ def test_unresolved_or_off_grid_packet_rejected():
         wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1000.0))
     with pytest.raises(ValueError, match="narrow"):
         wp.gaussian_amplitudes(wp.GaussianSpec(d_width=0.002), center=1e5)
+
+
+def _per_time_current(packet, t):
+    """The per-time sum the batched kernel replaced, one complex exponential per q."""
+    q = packet.p_grid
+    e = energy_of_momentum(q)
+    diag = np.sum((np.abs(packet.b) ** 2 - np.abs(packet.dstar) ** 2) * (q / e)) * packet.dp
+    cross = 2.0 * np.sum(np.real(np.conj(packet.b) * packet.dstar * (M / e) * np.exp(2.0j * e * t))) * packet.dp
+    return float(diag + cross)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d_width=st.floats(0.2 / M, 20.0 / M),
+    center=st.floats(-2.0 * M, 2.0 * M),
+    d_scale=st.floats(0.0, 3.0),
+    t0=st.floats(-20.0 / M, 20.0 / M),
+    times=hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=3, max_side=5), elements=st.floats(-50.0 / M, 50.0 / M)),
+)
+def test_array_times_match_per_time_sum(d_width, center, d_scale, t0, times):
+    # evolving to t0 makes the interference weight complex (a Gaussian's is real)
+    pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=d_width), center=center, d_scale=d_scale).evolve(t0)
+    got = wp.probability_current(pk, times)
+    want = np.array([_per_time_current(pk, t) for t in times.ravel()]).reshape(times.shape)
+    if times.ndim == 0:
+        assert type(got) is float
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == times.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+    for t in times.ravel()[:3]:
+        scalar = wp.probability_current(pk, float(t))
+        assert type(scalar) is float
+        assert abs(scalar - _per_time_current(pk, t)) <= 1e-12
+
+
+def test_long_series_crosses_phase_blocks():
+    # more phases than one block holds: rows on both sides of every block edge
+    pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=6.0 / M), center=2.0 * M).evolve(3.0 / M)
+    times = np.linspace(0.0, 40.0 / M, 3 * wp._PHASE_BLOCK // pk.p_grid.size + 7)
+    got = wp.probability_current(pk, times)
+    want = np.array([_per_time_current(pk, t) for t in times])
+    assert np.max(np.abs(got - want)) <= 1e-12
