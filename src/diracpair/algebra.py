@@ -55,7 +55,6 @@ class DiracMatrices:
 
     alpha: tuple[np.ndarray, np.ndarray, np.ndarray]
     beta: np.ndarray
-    representation_tag: str = "dirac"
 
 
 @dataclass(frozen=True)
@@ -81,18 +80,16 @@ class FieldConfig:
             raise ValueError("e_charge must be negative (electron convention)")
 
 
-def build_matrices(representation: str = "dirac") -> DiracMatrices:
+def build_matrices() -> DiracMatrices:
     """Construct the standard (Dirac) representation.
 
     alpha_i has the Pauli matrices on the off-diagonal blocks, beta is
-    diag(1, 1, -1, -1).  Only the standard representation is supported.
+    diag(1, 1, -1, -1).
     """
-    if representation != "dirac":
-        raise ValueError(f"unknown representation {representation!r}")
     z = np.zeros((2, 2), dtype=complex)
     alpha = tuple(_block(z, s, s, z) for s in _PAULI)
     beta = _block(_I2, z, z, -_I2)
-    return DiracMatrices(alpha=alpha, beta=beta, representation_tag="dirac")
+    return DiracMatrices(alpha=alpha, beta=beta)
 
 
 def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -135,7 +132,7 @@ def _rel_residual(a: np.ndarray, b: np.ndarray) -> float:
 def free_hamiltonian(m: DiracMatrices, p, constants: Constants = DEFAULT_CONSTANTS) -> np.ndarray:
     """H0(p) = alpha . p + beta m for a momentum 3-vector p (keV)."""
     p = np.asarray(p, dtype=float)
-    h = constants.m * m.beta.copy()
+    h = constants.m * m.beta
     for ai, pi in zip(m.alpha, p):
         h = h + pi * ai
     return h
@@ -248,24 +245,18 @@ def charge_current_identity(p, axis: int, constants: Constants = DEFAULT_CONSTAN
 
 # --- C / P / tau transformation machinery ------------------------------------
 #
-# Each transformation is a triple (matrix, conjugation flag, vector-flip flag).
-# Applying it to an operator-valued function O(p, A) computes
-# M @ (O* if conjugating else O) @ M^-1 and compares against the stated law
-# evaluated at flipped arguments: the flip sends every polar vector (p and A)
-# to its negative.  The tau matrix is fixed only up to a phase by the laws it
-# must satisfy (they coincide with the charge-conjugation constraints), so it
-# is represented as i*C by convention.
+# C and tau act as M O* M^-1 and P as M O M^-1 on an operator-valued function
+# O(p, A); each result is compared against the stated law evaluated at flipped
+# arguments, where the flip sends every polar vector (p and A) to its
+# negative.  All three matrices (C, beta and i*C) are unitary, so M^-1 is
+# M^dagger.  The tau matrix is fixed only up to a phase by the laws it must
+# satisfy (they coincide with the charge-conjugation constraints), so it is
+# represented as i*C by convention.
 
 
-@dataclass(frozen=True)
-class _Transform:
-    matrix: np.ndarray
-    conjugate: bool
-
-
-def _apply(t: _Transform, op: np.ndarray) -> np.ndarray:
-    inner = op.conj() if t.conjugate else op
-    return t.matrix @ inner @ np.linalg.inv(t.matrix)
+def _similar(u: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """u op u^dagger, the similarity transform by a unitary u."""
+    return u @ op @ u.conj().T
 
 
 def transformation_checks(
@@ -289,10 +280,9 @@ def transformation_checks(
     if fields is None:
         fields = FieldConfig()
     mats = build_matrices()
-    conj = find_conjugation_matrix(mats, constants)
-    c = _Transform(conj.C, conjugate=True)
-    par = _Transform(mats.beta.copy(), conjugate=False)
-    tau = _Transform(1.0j * conj.C, conjugate=True)
+    c = find_conjugation_matrix(mats, constants).C
+    par = mats.beta
+    tau = 1.0j * c
 
     p = np.asarray(p, dtype=float)
     h0 = free_hamiltonian(mats, p, constants)
@@ -305,19 +295,19 @@ def transformation_checks(
     )
 
     out: dict[str, float] = {}
-    out["C_H0"] = _rel_residual(_apply(c, h0), -h0_flip)
-    out["P_H0"] = _rel_residual(_apply(par, h0), h0_flip)
-    out["tau_H0"] = _rel_residual(_apply(tau, h0), -h0_flip)
-    out["C_sgnE"] = _rel_residual(_apply(c, sgn), -sgn_flip)
-    out["P_sgnE"] = _rel_residual(_apply(par, sgn), sgn_flip)
-    out["tau_sgnE"] = _rel_residual(_apply(tau, sgn), -sgn_flip)
-    out["C_H1"] = _rel_residual(_apply(c, h1), h1)
-    out["P_H1"] = _rel_residual(_apply(par, h1), h1_parity)
-    out["tau_H1"] = _rel_residual(_apply(tau, h1), h1)
+    out["C_H0"] = _rel_residual(_similar(c, h0.conj()), -h0_flip)
+    out["P_H0"] = _rel_residual(_similar(par, h0), h0_flip)
+    out["tau_H0"] = _rel_residual(_similar(tau, h0.conj()), -h0_flip)
+    out["C_sgnE"] = _rel_residual(_similar(c, sgn.conj()), -sgn_flip)
+    out["P_sgnE"] = _rel_residual(_similar(par, sgn), sgn_flip)
+    out["tau_sgnE"] = _rel_residual(_similar(tau, sgn.conj()), -sgn_flip)
+    out["C_H1"] = _rel_residual(_similar(c, h1.conj()), h1)
+    out["P_H1"] = _rel_residual(_similar(par, h1), h1_parity)
+    out["tau_H1"] = _rel_residual(_similar(tau, h1.conj()), h1)
     out["D2_composite"] = _rel_residual(
-        _apply(c, h0 + sgn @ h1), -(h0_flip + sgn_flip @ h1)
+        _similar(c, (h0 + sgn @ h1).conj()), -(h0_flip + sgn_flip @ h1)
     )
-    out["D1_breakdown"] = _rel_residual(_apply(c, h0 + h1), -(h0_flip - h1))
+    out["D1_breakdown"] = _rel_residual(_similar(c, (h0 + h1).conj()), -(h0_flip - h1))
     return out
 
 
@@ -342,12 +332,10 @@ def appendix_identities(
     p = np.asarray(p, dtype=float)
     e = fields.e_charge
     kin = p - e * np.asarray(fields.A, dtype=float)  # kinetic momentum p - eA
-    h = constants.m * mats.beta + e * fields.Phi * _I4
-    for ai, ki in zip(mats.alpha, kin):
-        h = h + ki * ai
+    h_kin = free_hamiltonian(mats, kin, constants)
+    h = h_kin + e * fields.Phi * _I4
 
     worst_a3 = 0.0
-    h_kin = h - e * fields.Phi * _I4
     for i, ai in enumerate(mats.alpha):
         lhs = ai @ h_kin + h_kin @ ai
         rhs = 2.0 * kin[i] * _I4

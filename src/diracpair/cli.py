@@ -16,10 +16,11 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from . import hydrogenic, kinematics, matcher
-from .core import Alternative, Constants, DEFAULT_CONSTANTS, load_constants, require_finite
+from .core import Alternative, DEFAULT_CONSTANTS, load_constants, require_finite
 
 __all__ = ["main"]
 
@@ -34,28 +35,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _constants_header(constants: Constants) -> list[str]:
-    return [
-        f"# m_e_keV={_fmt(constants.electron_rest_energy)}"
-        f" alpha0={_fmt(constants.fine_structure)}"
-        f" numeric_tolerance={_fmt(constants.numeric_tolerance)}"
-    ]
-
-
 def _emit(args, constants, columns, rows, payload=None, extra_header=None) -> None:
     """Write CSV (default) or JSON to stdout with the constants header.
 
     ``extra_header`` is a dict of derived scalars printed as an extra comment
-    line (CSV) or merged into the document (JSON).
+    line (CSV) or merged into the document (JSON).  ``payload``, a dict,
+    stands in for the rows in the JSON document; CSV always writes the rows.
     """
+    header = {
+        "m_e_keV": constants.electron_rest_energy,
+        "alpha0": constants.fine_structure,
+        "numeric_tolerance": constants.numeric_tolerance,
+    }
     if args.format == "json":
-        doc = {
-            "constants": {
-                "m_e_keV": constants.electron_rest_energy,
-                "alpha0": constants.fine_structure,
-                "numeric_tolerance": constants.numeric_tolerance,
-            },
-        }
+        doc = {"constants": header}
         if extra_header:
             doc["derived"] = dict(extra_header)
         if payload is not None:
@@ -64,20 +57,17 @@ def _emit(args, constants, columns, rows, payload=None, extra_header=None) -> No
             doc["rows"] = [dict(zip(columns, row)) for row in rows]
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return
-    out = _constants_header(constants)
-    if extra_header:
-        out.append("# " + " ".join(f"{k}={_fmt(v)}" for k, v in extra_header.items()))
-    if payload is not None and not rows:
-        for key, value in payload.items():
-            out.append(f"{key},{_fmt(value)}")
-    else:
-        out.append(",".join(columns))
-        for row in rows:
-            out.append(",".join(map(_fmt, row)))
+    out = ["# " + " ".join(f"{k}={_fmt(v)}" for k, v in d.items()) for d in (header, extra_header) if d]
+    out.append(",".join(columns))
+    out.extend(",".join(map(_fmt, row)) for row in rows)
     sys.stdout.write("\n".join(out) + "\n")
 
 
 # --- subcommand implementations -----------------------------------------------
+
+# Largest float whose square is finite: the domain checks below keep the
+# numbers a handler squares under it.
+_ROOT_MAX = math.sqrt(sys.float_info.max)
 
 
 def _cmd_algebra_check(args, constants) -> int:
@@ -117,8 +107,7 @@ def _cmd_algebra_check(args, constants) -> int:
     payload = {name: worst[name] for name in sorted(worst)}
     payload["max_residual"] = max(worst.values())
     payload["passed"] = bool(payload["max_residual"] < tol)
-    rows = [(name, value) for name, value in payload.items()]
-    _emit(args, constants, ("identity", "max_residual"), rows, payload=payload if args.format == "json" else None)
+    _emit(args, constants, ("identity", "max_residual"), list(payload.items()), payload=payload)
     return 0 if payload["passed"] else 1
 
 
@@ -181,7 +170,15 @@ def _cmd_zbw(args, constants) -> int:
     from . import wavepacket
 
     spec = wavepacket.GaussianSpec(d_width=args.dwidth)
-    packet = wavepacket.gaussian_amplitudes(spec, center=args.p0, constants=constants)
+    grid = wavepacket.default_grid(args.dwidth, constants)
+    # E_q = sqrt(q^2 + m^2) and the phases 2 E_q t, with E_q about as large as
+    # the grid's reach, must be finite floats
+    reach = float(grid[-1])
+    if not reach < _ROOT_MAX:
+        raise ValueError("--dwidth is too small: the momentum grid, +-8/dwidth keV wide, overflows")
+    if not abs(args.tmax) * reach < sys.float_info.max / 4:
+        raise ValueError("--tmax is too large for this packet: the phases 2 E t overflow")
+    packet = wavepacket.gaussian_amplitudes(spec, grid, center=args.p0, constants=constants)
     times = np.linspace(0.0, args.tmax, args.tsteps)
     charge = wavepacket.charge_current(packet, constants)
     prob = wavepacket.probability_current(packet, times, constants)
@@ -206,6 +203,9 @@ def _pair_solution_payload(sol: kinematics.PairSolution) -> dict:
 
 
 def _cmd_kinematics(args, constants) -> int:
+    # gamma_e - 1 is at most twice deps/2m (R <= 1/2), and T_lab squares it
+    if not args.deps < _ROOT_MAX * constants.m / 2:
+        raise ValueError("--deps is too large: the pair's Lorentz factor overflows")
     boost = kinematics.boost_from_beam_energy(args.x)
     if args.mode == "invert":
         if args.target is None:
@@ -272,14 +272,17 @@ def _cmd_counting_time(args, constants) -> int:
 
     if args.xmin <= 0 or args.xmax <= args.xmin:
         raise ValueError("need 0 < xmin < xmax")
+    x_opt, tau_min = decaymodel.optimal_current(args.x0)
+    # relative pair yield at the optimum current (sigma0 = eta = 1 units); x0 >= 1 from here on
+    sigma_opt = decaymodel.pair_cross_section(x_opt, decaymodel.DecayParams(x0=args.x0))
+    # (x0 + x)^2 and tau = (x0 + x)^2 / x >= 1/x peak at the ends of the sweep
+    if not max((args.x0 + x) * max(1.0, 1.0 / math.sqrt(x)) for x in (args.xmin, args.xmax)) < _ROOT_MAX / 2:
+        raise ValueError("--x0, --xmin and --xmax put the counting time (x0 + x)^2/x beyond the float range")
     xs = np.linspace(args.xmin, args.xmax, args.steps)
     rows = [
         (float(x), decaymodel.counting_time(float(x), args.x0, "baseline"), decaymodel.counting_time(float(x), args.x0, "metastable"))
         for x in xs
     ]
-    x_opt, tau_min = decaymodel.optimal_current(args.x0)
-    # relative pair yield at the optimum current (sigma0 = eta = 1 units)
-    sigma_opt = decaymodel.pair_cross_section(x_opt, decaymodel.DecayParams(x0=args.x0))
     extra = {"optimal_x": x_opt, "tau_min": tau_min, "sigma_ep_rel_at_optimum": sigma_opt}
     _emit(args, constants, ("x", "tau_baseline", "tau_metastable"), rows, extra_header=extra)
     return 0
@@ -415,8 +418,12 @@ def main(argv=None) -> int:
 
     The parser is built on the first call and reused by every later call in
     the process, so each subcommand's handler is the one bound at that
-    first build.
+    first build.  BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS``
+    or ``OMP_NUM_THREADS`` says otherwise: no product here is large enough
+    to gain from more, and starting them slows a one-shot run.
     """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     args = _build_parser().parse_args(argv)
     try:
         _check_numbers(args)

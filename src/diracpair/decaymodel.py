@@ -42,14 +42,12 @@ class DecayParams:
     sigma0: float = 1.0  # cross-section scale, arbitrary units
     x0: float = 1.0  # (R_phi + R_ep)/R_ep, dimensionless
     eta: float = 1.0  # converts beam current to the dimensionless x
-    sigma_bg: float = 1.0  # background cross section entering the z-ratio
-    z: float = 5.0  # significance threshold
 
     def __post_init__(self) -> None:
         if self.x0 < 1.0:
             raise ValueError("x0 = (R_phi + R_ep)/R_ep cannot be below 1")
-        if self.eta <= 0.0 or self.z <= 0.0:
-            raise ValueError("eta and z must be positive")
+        if self.eta <= 0.0:
+            raise ValueError("eta must be positive")
 
 
 @dataclass(frozen=True)

@@ -162,14 +162,14 @@ def solve_theta(
     branch: str,
     t_target: float,
     constants: Constants = DEFAULT_CONSTANTS,
-    scan_step_deg: float = 0.1,
-    tol_deg: float = 1e-4,
 ) -> list[float]:
-    """All opening half-angles in (0, 90) degrees with T_lab = t_target.
+    """All opening half-angles in (0, 90] degrees with T_lab = t_target.
 
     Returns angles in radians, ascending; empty when the target is out of
     reach.  theta = 0 is excluded (collinear emission carries no opening) and
-    90 degrees enters as the recoil-free endpoint.
+    90 degrees enters as the recoil-free endpoint.  A scan from 0.1 to 90
+    degrees in 0.1-degree steps brackets the roots, and bisection refines
+    each to 1e-4 degrees.
     """
     if t_target <= 0.0:
         raise ValueError("target energy must be positive")
@@ -179,10 +179,8 @@ def solve_theta(
         return lab_pair_energy(boost, delta_eps, math.radians(theta_deg), branch, constants).t_lab - t_target
 
     thetas = []
-    n_steps = int(round((90.0 - scan_step_deg) / scan_step_deg)) + 1
-    grid = [scan_step_deg + i * scan_step_deg for i in range(n_steps)]
-    if grid[-1] > 90.0:
-        grid[-1] = 90.0
+    grid = [0.1 + i * 0.1 for i in range(900)]
+    grid[-1] = min(grid[-1], 90.0)
     vals = [f(th) for th in grid]
     for (a, fa), (b, fb) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
         if fa == 0.0:
@@ -190,7 +188,7 @@ def solve_theta(
             continue
         if (fa > 0.0) == (fb > 0.0):
             continue
-        thetas.append(bisect_root(f, a, b, tol_deg, fa=fa, fb=fb))
-    if vals and vals[-1] == 0.0:
+        thetas.append(bisect_root(f, a, b, 1e-4, fa=fa, fb=fb))
+    if vals[-1] == 0.0:
         thetas.append(grid[-1])
     return [math.radians(t) for t in sorted(set(thetas))]

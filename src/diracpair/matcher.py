@@ -50,14 +50,12 @@ class ExperimentRecord:
     uncertainty: float | None
     beam_energy_x: float
     flagged_marginal: bool
-    ref: str = ""
     ion: IonSpecies | None = None
     upper: Shell | None = None
     lower: Shell | None = None
     branch: str | None = None
     published_theory_at_45: float | None = None
     published_theta_deg: float | None = None
-    published_label: str = ""
     flags: tuple[str, ...] = ()
     note: str = ""
 
@@ -134,39 +132,52 @@ def _parse_record(raw: dict, index: int) -> ExperimentRecord:
         uncertainty=None if unc is None else float(unc),
         beam_energy_x=float(raw.get("x_mev_per_u", 6.0)),
         flagged_marginal=bool(raw.get("marginal", False)),
-        ref=str(raw.get("ref", "")),
         ion=ion,
         upper=upper,
         lower=lower,
         branch=branch,
         published_theory_at_45=(None if raw.get("published_theory_at_45_keV") is None else float(raw["published_theory_at_45_keV"])),
         published_theta_deg=(None if raw.get("published_theta_deg") is None else float(raw["published_theta_deg"])),
-        published_label=str(raw.get("published_label", "")),
         flags=tuple(raw.get("flags", ())),
         note=str(raw.get("note", "")),
     )
 
 
-def load_catalog(source: str | Path) -> list[ExperimentRecord]:
-    """Parse and validate a catalog file; raises with entry-level diagnostics."""
-    raw = json.loads(Path(source).read_text(encoding="utf-8"))
+def _parse_catalog(text: str) -> list[ExperimentRecord]:
+    raw = json.loads(text)
     if not isinstance(raw, list):
         raise ValueError("catalog must be a JSON array of records")
     return [_parse_record(entry, i) for i, entry in enumerate(raw)]
+
+
+def load_catalog(source: str | Path) -> list[ExperimentRecord]:
+    """Parse and validate a catalog file; raises with entry-level diagnostics."""
+    return _parse_catalog(Path(source).read_text(encoding="utf-8"))
 
 
 def bundled_catalog(name: str) -> list[ExperimentRecord]:
     """Load one of the shipped catalogs: 'table1' (pair sums) or 'table2' (positrons)."""
     if name not in ("table1", "table2"):
         raise ValueError("bundled catalogs are 'table1' and 'table2'")
-    text = resources.files("diracpair.data").joinpath(f"{name}.json").read_text(encoding="utf-8")
-    return [_parse_record(entry, i) for i, entry in enumerate(json.loads(text))]
+    return _parse_catalog(resources.files("diracpair.data").joinpath(f"{name}.json").read_text(encoding="utf-8"))
 
 
 def _theory_at_45(
     boost: IonBoost, transition: Transition, branch: str, constants: Constants
 ) -> float:
     return lab_pair_energy(boost, transition.delta_eps, math.radians(45.0), branch, constants).t_lab
+
+
+def _angle_nearest_45(
+    boost: IonBoost, transition: Transition, branch: str, target: float, constants: Constants
+) -> float | None:
+    """The solved angle (radians) closest to 45 degrees, or None when the target is out of reach.
+
+    Preferring the root closest to 45 degrees matches how the published
+    identifications were made in the first place.
+    """
+    roots = solve_theta(boost, transition.delta_eps, branch, target, constants)
+    return min(roots, key=lambda t: abs(t - math.radians(45.0)), default=None)
 
 
 def candidate_transitions(
@@ -230,20 +241,13 @@ def match_peak(
     boost = boost_from_beam_energy(record.beam_energy_x)
     results = []
     for cand in ranked[:top_k]:
-        roots = solve_theta(boost, cand.transition.delta_eps, cand.branch, target, constants)
-        if roots:
-            # Prefer the root closest to 45 degrees, matching how the
-            # identifications were made in the first place.
-            theta = min(roots, key=lambda t: abs(t - math.radians(45.0)))
-        else:
-            theta = None
         results.append(
             MatchResult(
                 record=record,
                 transition=cand.transition,
                 branch=cand.branch,
                 theory_at_45=cand.theory_at_45,
-                solved_theta=theta,
+                solved_theta=_angle_nearest_45(boost, cand.transition, cand.branch, target, constants),
                 residual_at_45=cand.theory_at_45 - target,
             )
         )
@@ -303,10 +307,8 @@ def reproduce_tables(constants: Constants = DEFAULT_CONSTANTS) -> list[RowReport
             tr = pair_transition_energy(rec.ion, rec.upper, rec.lower, constants)
             theory_pair = _theory_at_45(boost, tr, rec.branch, constants)
             theory_obs = theory_pair / 2.0 if rec.observable == "positron_energy" else theory_pair
-            roots = solve_theta(boost, tr.delta_eps, rec.branch, rec.comparison_value, constants)
-            theta_deg = None
-            if roots:
-                theta_deg = math.degrees(min(roots, key=lambda t: abs(t - math.radians(45.0))))
+            theta = _angle_nearest_45(boost, tr, rec.branch, rec.comparison_value, constants)
+            theta_deg = None if theta is None else math.degrees(theta)
             rel_err = abs(theory_obs - rec.published_theory_at_45) / rec.published_theory_at_45
             theta_err = None if theta_deg is None else abs(theta_deg - rec.published_theta_deg)
             theory_ok = rel_err <= THEORY_REL_TOL

@@ -26,7 +26,6 @@ joined by Redheffer star products, batched over regions and energies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,25 +86,16 @@ class PotentialProfile:
             raise ValueError("region edges must be strictly increasing")
 
     @classmethod
-    def from_regions(cls, regions) -> "PotentialProfile":
-        """Build from [(left_edge, V0), ...] with the first left_edge = -inf."""
-        if not regions:
-            raise ValueError("empty region list")
-        if not math.isinf(regions[0][0]):
-            raise ValueError("first region must start at -inf")
-        edges = tuple(float(left) for left, _ in regions[1:])
-        values = tuple(float(v) for _, v in regions)
-        return cls(edges=edges, values=values)
+    def step(cls, v0: float) -> "PotentialProfile":
+        """V = V0 for z > 0."""
+        return cls(edges=(0.0,), values=(0.0, float(v0)))
 
     @classmethod
-    def step(cls, v0: float, position: float = 0.0) -> "PotentialProfile":
-        return cls(edges=(position,), values=(0.0, float(v0)))
-
-    @classmethod
-    def barrier(cls, v0: float, width: float, left: float = 0.0) -> "PotentialProfile":
+    def barrier(cls, v0: float, width: float) -> "PotentialProfile":
+        """V = V0 on (0, width)."""
         if width <= 0.0:
             raise ValueError("barrier width must be positive")
-        return cls(edges=(left, left + width), values=(0.0, float(v0), 0.0))
+        return cls(edges=(0.0, float(width)), values=(0.0, float(v0), 0.0))
 
 
 @dataclass(frozen=True)
@@ -287,7 +277,6 @@ def square_well_bound_states(
     depth: float,
     width: float,
     constants: Constants = DEFAULT_CONSTANTS,
-    n_scan: int = 2000,
 ) -> list[float]:
     """Discrete levels of the attractive square well V = -depth on (0, width).
 
@@ -295,8 +284,8 @@ def square_well_bound_states(
     one below zero and toward -m.  Under D2 a positive-energy state sees the
     same equation, but only roots with 0 < E < m exist on the positive branch
     (the mirror negatives follow by the spectrum symmetry), so the search
-    window shrinks accordingly.  Roots come from a uniform scan of the
-    closed-form level condition plus bisection.
+    window shrinks accordingly.  Roots come from a uniform 2000-point scan of
+    the closed-form level condition plus bisection.
     """
     if depth < 0.0 or width <= 0.0:
         raise ValueError("need depth >= 0 and width > 0")
@@ -316,7 +305,7 @@ def square_well_bound_states(
         b = seg_hi - _EDGE_MARGIN * m
         if not b > a:
             continue
-        grid = np.linspace(a, b, n_scan)
+        grid = np.linspace(a, b, 2000)
         oscillating = abs(0.5 * (a + b) + depth) > m
         vals = _well_secular(grid, depth, width, m, oscillating)
         sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]

@@ -75,10 +75,10 @@ class Packet:
         )
 
 
-def default_grid(d_width: float, n: int = 4096, constants: Constants = DEFAULT_CONSTANTS) -> np.ndarray:
-    """Symmetric momentum grid spanning +-8 max(m, 1/d_width)."""
+def default_grid(d_width: float, constants: Constants = DEFAULT_CONSTANTS) -> np.ndarray:
+    """Symmetric 4096-point momentum grid spanning +-8 max(m, 1/d_width)."""
     span = 8.0 * max(constants.m, 1.0 / d_width)
-    return np.linspace(-span, span, n)
+    return np.linspace(-span, span, 4096)
 
 
 def gaussian_amplitudes(
@@ -173,12 +173,8 @@ def zitterbewegung_weight(packet: Packet, constants: Constants = DEFAULT_CONSTAN
     return np.conj(packet.b) * packet.dstar * (constants.m / e) * packet.dp
 
 
-def charge_current(
-    packet: Packet,
-    constants: Constants = DEFAULT_CONSTANTS,
-    e_charge: float = -1.0,
-) -> float:
-    """Charge current e <p/E> over the full packet; time-independent by construction.
+def charge_current(packet: Packet, constants: Constants = DEFAULT_CONSTANTS) -> float:
+    """Charge current e <p/E> over the full packet, e = -1; time-independent by construction.
 
     The current operator is proportional to the identity in spinor space, and
     the two branches at one momentum are orthogonal, so no interference term
@@ -189,4 +185,4 @@ def charge_current(
     e = energy_of_momentum(q, constants)
     dp = packet.dp
     weight = np.abs(packet.b) ** 2 + np.abs(packet.dstar) ** 2
-    return float(e_charge * np.sum(weight * (q / e)) * dp)
+    return -float(np.sum(weight * (q / e)) * dp)

@@ -40,14 +40,9 @@ def test_clifford_checker_covers_1d_reduction():
     assert max(res.values()) < TOL
 
 
-def test_unknown_representation_rejected():
-    with pytest.raises(ValueError):
-        algebra.build_matrices("weyl")
-
-
 def test_conjugation_solve_rejects_bad_representation(mats):
     # beta = identity admits no solution of C beta* C^-1 = -beta
-    broken = algebra.DiracMatrices(alpha=mats.alpha, beta=np.eye(4, dtype=complex), representation_tag="broken")
+    broken = algebra.DiracMatrices(alpha=mats.alpha, beta=np.eye(4, dtype=complex))
     with pytest.raises(ValueError, match="dimension"):
         algebra.find_conjugation_matrix(broken)
 

@@ -267,6 +267,13 @@ def test_config_override_changes_header_and_values(tmp_path, capsys):
         (("algebra-check", "--n-random", "0"), "--n-random"),
         (("scatter", "--alt", "d1", "--v0", "1533", "--emin", "520", "--emax", "5110", "--steps", "9" * 401), "--steps"),
         (("lineshape", "--deps", "818.8", "--tmin", "800", "--tmax", "900", "--steps", "100000000000"), "--steps"),
+        # numbers whose squares or products leave the float range
+        (("zbw", "--dwidth", "1e-200", "--tmax", "0.2", "--tsteps", "2", "--p0", "0"), "--dwidth"),
+        (("zbw", "--dwidth", "0.002", "--tmax", "1e306", "--tsteps", "2", "--p0", "0"), "--tmax"),
+        (("counting-time", "--x0", "1e155", "--xmin", "0.1", "--xmax", "10", "--steps", "2"), "--x0"),
+        (("counting-time", "--x0", "1", "--xmin", "1e-310", "--xmax", "10", "--steps", "2"), "--xmin"),
+        (("kinematics", "--deps", "1e300", "--branch", "+"), "--deps"),
+        (("kinematics", "invert", "--deps", "1e300", "--branch", "-", "--target", "576"), "--deps"),
     ],
 )
 def test_invalid_number_exits_2_with_message(capsys, argv, flag):
@@ -444,3 +451,38 @@ assert len(out.getvalue().splitlines()) == 2 + 20
 """
     cp = run_fresh(code)
     assert cp.returncode == 0, cp.stderr
+
+
+# --- BLAS threads ---------------------------------------------------------------
+#
+# main() asks BLAS for one thread unless the caller chose a number.
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+_BLAS_CHILD = """
+import contextlib, io, os, sys
+import diracpair.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    exit_code = diracpair.cli.main(["scatter", "--alt", "d2", "--v0", "1533", "--emin", "520", "--emax", "5110", "--steps", "20"])
+assert exit_code == 0, exit_code
+assert "numpy" in sys.modules
+print(os.environ["OPENBLAS_NUM_THREADS"], os.environ["OMP_NUM_THREADS"])
+"""
+
+
+def run_blas_child(**blas_env):
+    env = {k: v for k, v in child_env().items() if k not in _BLAS_VARS}
+    cmd = [sys.executable, "-c", _BLAS_CHILD]
+    return subprocess.run(cmd, capture_output=True, text=True, env={**env, **blas_env})
+
+
+def test_blas_defaults_to_one_thread():
+    cp = run_blas_child()
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.split() == ["1", "1"]
+
+
+def test_blas_thread_count_set_by_the_caller_wins():
+    cp = run_blas_child(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="3")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.split() == ["2", "3"]

@@ -1,10 +1,17 @@
-"""CLI output held to captures taken before the kernels under it were rewritten.
+"""CLI output held to captures taken before the code under it was rewritten.
 
 `scatter` is compared with a capture taken before the S-matrix rewrite and
 `zbw` with one taken before the probability current was batched over times.
+`exact` holds the README examples of the pure-`math` subcommands and of
+`counting-time` and `lineshape`, plus `match` on the one-record test
+catalog, all compared byte for byte; `algebra` holds `algebra-check`, whose
+residuals are rounding noise and are compared within 1e-14.  Both were
+taken before unused parameters, fields and helpers were removed.
 
     PYTHONPATH=src python tests/test_golden_cli.py scatter   # rewrites tests/data/golden_scatter.json
     PYTHONPATH=src python tests/test_golden_cli.py zbw       # rewrites tests/data/golden_zbw.json
+    PYTHONPATH=src python tests/test_golden_cli.py exact     # rewrites tests/data/golden_exact.json
+    PYTHONPATH=src python tests/test_golden_cli.py algebra   # rewrites tests/data/golden_algebra.json
 
 Regenerate only to add cases, never to absorb a changed number: a capture
 is the reference its kernel is compared against.
@@ -24,6 +31,10 @@ from diracpair.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
 ABS_TOL = 1e-12
+# algebra-check residuals are sums of rounding errors near 1e-15
+RESIDUAL_TOL = 1e-14
+# argv spelling of the one-record test catalog, resolved against DATA when run
+CATALOG_ARG = "tests/data/catalog_u_pb_576.json"
 
 SCATTER_CASES = (
     # the README examples
@@ -61,15 +72,35 @@ ZBW_CASES = (
     ("zbw", "--dwidth", "0.002", "--tmax", "0.2", "--tsteps", "1", "--p0", "1022"),
 )
 
-CASES = {"scatter": SCATTER_CASES, "zbw": ZBW_CASES}
+EXACT_CASES = (
+    # the README examples
+    ("levels", "--ion", "Pb", "--shells", "K,L1,L2"),
+    ("transitions", "--ion", "Pb"),
+    ("kinematics", "--deps", "818.8", "--x", "6", "--theta", "45", "--branch", "+", "--format", "json"),
+    ("kinematics", "invert", "--deps", "818.835", "--branch", "+", "--target", "576"),
+    ("reproduce-tables",),
+    ("counting-time", "--x0", "1", "--xmin", "0.1", "--xmax", "10", "--steps", "200"),
+    ("lineshape", "--deps", "818.8", "--tmin", "800", "--tmax", "900", "--steps", "200"),
+    # match on a catalog that ships with the tests
+    ("match", "--catalog", CATALOG_ARG, "--top-k", "3"),
+    ("match", "--catalog", CATALOG_ARG, "--top-k", "3", "--format", "json"),
+)
+
+ALGEBRA_CASES = (
+    ("algebra-check",),
+    ("algebra-check", "--format", "json"),
+)
+
+CASES = {"scatter": SCATTER_CASES, "zbw": ZBW_CASES, "exact": EXACT_CASES, "algebra": ALGEBRA_CASES}
 # columns compared exactly as text; every other column within ABS_TOL
 EXACT = {"classification", "level", "t"}
 
 
 def _run(argv) -> tuple[int, str]:
     out = io.StringIO()
+    argv = [str(DATA / Path(a).name) if a == CATALOG_ARG else a for a in argv]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
+        code = main(argv)
     return code, out.getvalue()
 
 
@@ -84,7 +115,8 @@ def _rows(text: str) -> list[dict]:
 def _header(text: str):
     if text.startswith("{"):
         doc = json.loads(text)
-        doc.pop("rows")
+        doc.pop("rows", None)
+        doc.pop("result", None)
         return doc
     return [line for line in text.splitlines() if line.startswith("#")]
 
@@ -129,6 +161,36 @@ def test_scatter_output_matches_golden(golden, argv):
 @pytest.mark.parametrize("argv", ZBW_CASES, ids=_ids)
 def test_zbw_output_matches_golden(golden, argv):
     _assert_matches_golden(golden[argv], argv)
+
+
+@pytest.mark.parametrize("argv", EXACT_CASES, ids=_ids)
+def test_output_is_byte_identical_to_golden(golden, argv):
+    assert _run(argv) == (golden[argv]["exit"], golden[argv]["stdout"])
+
+
+def _residuals(text: str) -> dict:
+    if text.startswith("{"):
+        return json.loads(text)["result"]
+    return {row["identity"]: row["max_residual"] for row in _rows(text)}
+
+
+@pytest.mark.parametrize("argv", ALGEBRA_CASES, ids=_ids)
+def test_algebra_check_matches_golden(golden, argv):
+    case = golden[argv]
+    code, text = _run(argv)
+    assert code == case["exit"]
+    assert _header(text) == _header(case["stdout"])
+    got, want = _residuals(text), _residuals(case["stdout"])
+    assert list(got) == list(want)
+    assert got.pop("passed") == want.pop("passed")
+    for name in got:
+        assert abs(float(got[name]) - float(want[name])) <= RESIDUAL_TOL, (name, got[name], want[name])
+
+
+def test_algebra_output_is_byte_identical_between_runs():
+    # the exact cases already equal one fixed capture on every run
+    for argv in ALGEBRA_CASES:
+        assert _run(argv) == _run(argv)
 
 
 def test_scatter_output_is_byte_identical_between_runs():

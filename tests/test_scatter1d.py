@@ -233,10 +233,6 @@ def test_profile_validation():
         sc.PotentialProfile(edges=(1.0, 0.5), values=(0.0, 1.0, 0.0))
     with pytest.raises(ValueError):
         sc.PotentialProfile(edges=(0.0,), values=(0.0,))
-    prof = sc.PotentialProfile.from_regions([(-math.inf, 0.0), (0.0, 2 * M), (1.0 / M, 0.0)])
-    assert prof.values == (0.0, 2 * M, 0.0)
-    with pytest.raises(ValueError):
-        sc.PotentialProfile.from_regions([(0.0, 1.0)])
 
 
 # --- bound states ---------------------------------------------------------------
