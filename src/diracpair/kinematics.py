@@ -90,7 +90,9 @@ def _gamma_excess(delta_eps: float, r: float, constants: Constants) -> tuple[flo
     root = sqrt(d (2 + d) + R^2), loses the digits of gamma_minus - 1 when
     R^2 >> d, and sqrt(gamma^2 - 1) taken from gamma loses more.  The two excesses multiply to d^2/(1 - R^2), so
     gamma_minus - 1 follows from gamma_plus - 1 as a quotient of positive
-    terms.
+    terms.  Raises once gamma_plus^2 - 1 = e (e + 2), e = gamma_plus - 1,
+    overflows; at R = 0 that is where d (2 + d) does, and for R > 0 it is
+    earlier.  gamma_minus <= gamma_plus, so both roots' gamma beta stay finite.
     """
     if not 0.0 <= r < 1.0:
         raise ValueError("R must lie in [0, 1)")
@@ -98,7 +100,10 @@ def _gamma_excess(delta_eps: float, r: float, constants: Constants) -> tuple[flo
         raise ValueError("delta_eps must be non-negative")
     d = delta_eps / (2.0 * constants.m)
     lifted = d + r * (r + math.sqrt(d * (2.0 + d) + r * r))
-    return lifted / (1.0 - r * r), (d * (d / lifted) if d > 0.0 else 0.0)
+    plus = lifted / (1.0 - r * r)
+    if not math.isfinite(plus * (plus + 2.0)):
+        raise ValueError("delta_eps is too large: the pair's Lorentz factor overflows")
+    return plus, (d * (d / lifted) if d > 0.0 else 0.0)
 
 
 def gamma_e_solutions(delta_eps: float, r: float, constants: Constants = DEFAULT_CONSTANTS) -> tuple[float, float]:

@@ -11,7 +11,11 @@ interference terms oscillating at angular frequency 2 E_q whose amplitude is
 set by |dstar|.
 
 ``probability_current`` takes one time or an array of times; a whole series
-is one call, evaluated over bounded blocks of the (time x momentum) phases.
+is one call.  On a uniform series t_0 + k dt the interference phase factorises
+as e^{2iE(t_J + j dt)}, so about 2 sqrt(n) complex exponentials per momentum
+and a small complex matrix product replace the n per momentum of a direct
+sum.  No phase table, and no product of two, exceeds ``_PHASE_BLOCK``
+complex elements.
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ import numpy as np
 
 from .core import Constants, DEFAULT_CONSTANTS, energy_of_momentum, require_finite
 
-# Phases per block of the probability-current kernel: 64 KiB for each of the
-# cosine and sine blocks.  Blocks of 2^17 phases ran no faster and left about
-# 4 MB more peak RSS in a long in-process run; 2^13 to 2^15 left none.
+# Largest temporary of the probability-current kernel, in complex elements
+# (128 KiB): each phase table and each product of two is chunked under it.
+# Temporaries of 1 MiB left about 3.5-4 MB more peak RSS in a long in-process
+# run; 2^13 to 2^15 elements left none.
 _PHASE_BLOCK = 1 << 13
 
 __all__ = [
@@ -116,14 +121,15 @@ def gaussian_amplitudes(
     total = float(np.sum(density) * dp)
     # Estimate of probability sitting outside the grid from the edge cells.
     loss = float((density[0] + density[-1]) * dp) / total
-    if loss > 1e-6:
-        raise ValueError("grid too narrow: estimated normalization loss exceeds 1e-6")
+    # written to fail closed: a nan loss (an overflowing grid) is rejected too
+    if not loss <= 1e-6:
+        raise ValueError("grid too narrow or overflowing: estimated normalization loss exceeds 1e-6")
     scale = 1.0 / math.sqrt(total)
     return Packet(p_grid=grid, b=b * scale, dstar=dstar * scale)
 
 
 def _require_normalized(packet: Packet) -> None:
-    if abs(packet.density_sum() - 1.0) > 1e-9:
+    if not abs(packet.density_sum() - 1.0) <= 1e-9:
         raise ValueError("packet is not normalized")
 
 
@@ -141,11 +147,15 @@ def probability_current(packet: Packet, t, constants: Constants = DEFAULT_CONSTA
     the cross term couples b and dstar through the spinor matrix element
     u(q)^dag alpha v(q) = m/E_q and rotates with phase e^{2 i E_q t}.
 
-    ``t`` is a scalar or an array of times.  A scalar (or 0-d array) gives a
-    float, an array gives an array of its shape.  The interference term is
-    2 (Re w cos 2E_q t - Im w sin 2E_q t) summed over q, with w from
-    :func:`zitterbewegung_weight`, taken over blocks of at most
-    ``_PHASE_BLOCK`` phases so memory stays bounded for any number of times.
+    ``t`` is a scalar or an array of finite times.  A scalar (or 0-d array)
+    gives a float, an array gives an array of its shape.  The interference
+    term is 2 Re(w_q e^{2iE_q t}) summed over q, with w from
+    :func:`zitterbewegung_weight`.  Each time is written t_J + j dt: row J of
+    a base table w_q e^{2iE_q t_J} times column j of an offset table
+    e^{2iE_q j dt}, summed over q, gives it.  A uniform series of n times
+    (see :func:`_phase_tables`) uses ceil(sqrt(n)) offsets; any other input
+    uses each time as a base and the one offset 0.  The sum runs over chunks
+    of momenta and base rows, so memory stays bounded for any number of times.
     """
     _require_normalized(packet)
     q = packet.p_grid
@@ -154,17 +164,43 @@ def probability_current(packet: Packet, t, constants: Constants = DEFAULT_CONSTA
     w = zitterbewegung_weight(packet, constants)
     times = np.asarray(t, dtype=float)
     flat = times.ravel()
-    cross = np.empty(flat.shape)
-    rows = max(1, _PHASE_BLOCK // q.size)
-    for start in range(0, flat.size, rows):
-        phase = np.multiply.outer(2.0 * flat[start : start + rows], e)
-        cos = np.cos(phase)
-        sin = np.sin(phase, out=phase)
-        cross[start : start + rows] = cos @ w.real - sin @ w.imag
-    current = drift + 2.0 * cross
+    if not math.isfinite(2.0 * float(np.max(e)) * float(np.max(np.abs(flat), initial=0.0))):
+        raise ValueError("times must be finite, and so must the phases 2 E_q t")
+    starts, offsets = _phase_tables(flat)
+    # momenta per chunk, then block rows per chunk, so that neither phase
+    # table nor their product exceeds _PHASE_BLOCK elements
+    cols = min(q.size, _PHASE_BLOCK // offsets.size)
+    rows = _PHASE_BLOCK // max(cols, offsets.size)
+    cross = np.zeros((starts.size, offsets.size))
+    for k in range(0, q.size, cols):
+        e2 = 2.0 * e[k : k + cols]
+        offset = np.exp(1.0j * np.multiply.outer(offsets, e2))
+        for r in range(0, starts.size, rows):
+            base = w[k : k + cols] * np.exp(1.0j * np.multiply.outer(starts[r : r + rows], e2))
+            cross[r : r + rows] += (base @ offset.T).real
+    current = drift + 2.0 * cross.ravel()[: flat.size]
     if times.ndim == 0:
         return float(current[0])
     return current.reshape(times.shape)
+
+
+def _phase_tables(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block start times and in-block offsets whose sums, row by row, give ``flat``.
+
+    A series of three or more times that lies within 4 eps max|t| of
+    t_0 + k dt splits into B = ceil(sqrt(n)) offsets j dt (at most
+    ``_PHASE_BLOCK``) and ceil(n/B) block starts t_0 + J B dt; the last block
+    may run past the series.  Any other input is its own block start with
+    the single offset 0.
+    """
+    n = flat.size
+    if n > 2:
+        step = (flat[-1] - flat[0]) / (n - 1)
+        uniform = flat[0] + step * np.arange(n)
+        if np.max(np.abs(flat - uniform)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(flat)):
+            width = min(math.isqrt(n - 1) + 1, _PHASE_BLOCK)
+            return flat[0] + (step * width) * np.arange(-(-n // width)), step * np.arange(width)
+    return flat, np.zeros(1)
 
 
 def zitterbewegung_weight(packet: Packet, constants: Constants = DEFAULT_CONSTANTS) -> np.ndarray:

@@ -2,12 +2,13 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import diracpair
@@ -486,3 +487,28 @@ def test_blas_thread_count_set_by_the_caller_wins():
     cp = run_blas_child(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="3")
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout.split() == ["2", "3"]
+
+
+# --- whole-domain argv property -----------------------------------------------------
+#
+# Every argv ends in exit 0 with finite output, or in exit 2 with a message.
+
+_LOG_UNIFORM = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, exponent: sign * 10.0**exponent, st.sampled_from((-1.0, 1.0)), st.floats(-300.0, 300.0)),
+)
+
+
+# about one draw in twenty builds a packet; the rest exit 2 in a few ms
+@settings(max_examples=200, deadline=None)
+@given(dwidth=_LOG_UNIFORM, tmax=_LOG_UNIFORM, p0=_LOG_UNIFORM, tsteps=st.integers(1, 20))
+# once printed nan currents with exit 0
+@example(dwidth=1e-200, tmax=0.2, p0=0.0, tsteps=2)
+@example(dwidth=0.002, tmax=1e306, p0=0.0, tsteps=2)
+def test_zbw_argv_exits_0_with_finite_output_or_2(dwidth, tmax, p0, tsteps):
+    # --flag=value, because argparse would read "-1e-3" as an option
+    argv = ("zbw", f"--dwidth={dwidth!r}", f"--tmax={tmax!r}", f"--p0={p0!r}", f"--tsteps={tsteps}")
+    code, out = _quiet_call(argv)
+    assert code in (0, 2), argv
+    if code == 0:
+        assert not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE), argv

@@ -204,3 +204,20 @@ def test_t_lab_increases_strictly_with_theta(x, deps, branch, a, b):
     t_lo = kin.lab_pair_energy(boost, deps, math.radians(lo), branch).t_lab
     t_hi = kin.lab_pair_energy(boost, deps, math.radians(hi), branch).t_lab
     assert t_lo < t_hi
+
+
+def test_overflowing_delta_eps_rejected():
+    for branch in ("+", "-"):
+        with pytest.raises(ValueError, match="delta_eps is too large"):
+            kin.lab_pair_energy(BOOST6, 1e300, math.radians(45.0), branch)
+    with pytest.raises(ValueError, match="delta_eps is too large"):
+        kin.gamma_e_solutions(1e300, 0.0)
+    # at theta = 90 degrees (R = 0) the bound is where d (2 + d) overflows
+    root_max = math.sqrt(np.finfo(float).max)
+    inside = kin.lab_pair_energy(BOOST6, 2.0 * M * 0.999 * root_max, 0.5 * math.pi, "-")
+    assert math.isfinite(inside.gamma_e) and inside.gamma_e > 1e153
+    assert math.isfinite(inside.t_lab) and inside.t_lab > 0.0
+    inside = kin.lab_pair_energy(BOOST6, 2.0 * M * 0.999 * root_max, 0.5 * math.pi, "+")
+    assert math.isfinite(inside.gamma_e) and math.isfinite(inside.t_lab)
+    with pytest.raises(ValueError, match="delta_eps is too large"):
+        kin.lab_pair_energy(BOOST6, 2.0 * M * 1.001 * root_max, 0.5 * math.pi, "-")

@@ -230,3 +230,63 @@ def test_long_series_crosses_phase_blocks():
     got = wp.probability_current(pk, times)
     want = np.array([_per_time_current(pk, t) for t in times])
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _factorised_width(times):
+    """Offsets per block that the kernel uses for ``times`` (1: one block per time)."""
+    return wp._phase_tables(np.asarray(times, dtype=float).ravel())[1].size
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d_width=st.floats(0.2 / M, 20.0 / M),
+    center=st.floats(-2.0 * M, 2.0 * M),
+    t_evolve=st.floats(-20.0 / M, 20.0 / M),
+    t0=st.builds(lambda sign, size: sign * size, st.sampled_from((-1.0, 1.0)), st.floats(1e-6 / M, 50.0 / M)),
+    span=st.floats(-80.0 / M, 80.0 / M),
+    n=st.one_of(
+        st.sampled_from((1, 2, 3)),
+        st.integers(2, 44).flatmap(lambda b: st.sampled_from((b * b - 1, b * b, b * b + 1))),
+        st.integers(1, 2000),
+    ),
+)
+def test_uniform_series_match_per_time_sum(d_width, center, t_evolve, t0, span, n):
+    # a negative span gives a descending grid; evolving makes w complex
+    pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=d_width), center=center).evolve(t_evolve)
+    times = np.linspace(t0, t0 + span, n)
+    if n > 2:
+        assert _factorised_width(times) == math.ceil(math.sqrt(n))
+    got = wp.probability_current(pk, times)
+    want = np.array([_per_time_current(pk, t) for t in times])
+    assert got.shape == times.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_only_uniform_series_are_factorised():
+    assert _factorised_width(np.arange(10) * 0.1) == 4
+    assert _factorised_width(np.linspace(1.0, -1.0, 100)) == 10
+    assert _factorised_width(0.5) == 1
+    assert _factorised_width([0.0, 1.0]) == 1
+    assert _factorised_width([0.0, 1.0, 3.0]) == 1
+    assert _factorised_width(np.linspace(0.0, 1.0, 50) ** 2) == 1
+
+
+def test_overflowing_grid_rejected():
+    # q^2 d^2 is inf * 0 = nan at the grid's ends, so the loss estimate is nan
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflowing"):
+        wp.gaussian_amplitudes(wp.GaussianSpec(1e-200), wp.default_grid(1e-200))
+
+
+def test_nan_packet_rejected():
+    pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1.0 / M))
+    broken = wp.Packet(p_grid=pk.p_grid, b=np.where(pk.p_grid > 0.0, np.nan, pk.b), dstar=pk.dstar)
+    for fn in (wp.negative_energy_fraction, wp.charge_current, lambda p: wp.probability_current(p, 0.0)):
+        with pytest.raises(ValueError, match="not normalized"):
+            fn(broken)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, [0.0, math.nan], [[1.0], [math.inf]], 1e306])
+def test_non_finite_times_rejected(t):
+    pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1.0 / M))
+    with pytest.raises(ValueError, match="finite"):
+        wp.probability_current(pk, t)
