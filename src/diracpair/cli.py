@@ -41,6 +41,13 @@ def _emit(args, constants, columns, rows, payload=None, extra_header=None) -> No
     ``extra_header`` is a dict of derived scalars printed as an extra comment
     line (CSV) or merged into the document (JSON).  ``payload``, a dict,
     stands in for the rows in the JSON document; CSV always writes the rows.
+
+    The CSV body is written a column at a time: a column whose cells are all
+    exactly ``float`` is rendered by ``%.10g``, every other column (str, int,
+    bool, None, numpy scalars, mixed) by ``_fmt`` once per cell, and each row
+    is then one ``%`` of a per-column template.  The bytes are identical to
+    ``",".join(map(_fmt, row))`` per row; the rows must all have
+    ``len(columns)`` cells.
     """
     header = {
         "m_e_keV": constants.electron_rest_energy,
@@ -59,7 +66,11 @@ def _emit(args, constants, columns, rows, payload=None, extra_header=None) -> No
         return
     out = ["# " + " ".join(f"{k}={_fmt(v)}" for k, v in d.items()) for d in (header, extra_header) if d]
     out.append(",".join(columns))
-    out.extend(",".join(map(_fmt, row)) for row in rows)
+    cols = list(zip(*rows))
+    is_float = [all(type(v) is float for v in col) for col in cols]
+    template = ",".join("%.10g" if f else "%s" for f in is_float)
+    cells = [col if f else map(_fmt, col) for col, f in zip(cols, is_float)]
+    out.extend(map(template.__mod__, zip(*cells)))
     sys.stdout.write("\n".join(out) + "\n")
 
 
@@ -278,9 +289,9 @@ def _cmd_counting_time(args, constants) -> int:
     # (x0 + x)^2 and tau = (x0 + x)^2 / x >= 1/x peak at the ends of the sweep
     if not max((args.x0 + x) * max(1.0, 1.0 / math.sqrt(x)) for x in (args.xmin, args.xmax)) < _ROOT_MAX / 2:
         raise ValueError("--x0, --xmin and --xmax put the counting time (x0 + x)^2/x beyond the float range")
-    xs = np.linspace(args.xmin, args.xmax, args.steps)
+    xs = np.linspace(args.xmin, args.xmax, args.steps).tolist()
     rows = [
-        (float(x), decaymodel.counting_time(float(x), args.x0, "baseline"), decaymodel.counting_time(float(x), args.x0, "metastable"))
+        (x, decaymodel.counting_time(x, args.x0, "baseline"), decaymodel.counting_time(x, args.x0, "metastable"))
         for x in xs
     ]
     extra = {"optimal_x": x_opt, "tau_min": tau_min, "sigma_ep_rel_at_optimum": sigma_opt}
@@ -298,9 +309,17 @@ def _cmd_lineshape(args, constants) -> int:
     params = decaymodel.LineShapeParams(
         density_scale=args.scale, delta_eps_shift=args.shift, bin_width=args.bin_width
     )
+    # the edge cap bounds every density value; x = T_sum - deps + shift is
+    # monotone in T_sum, so its ends bound it over the whole grid
+    if not math.isfinite(2.0 * args.scale / math.sqrt(args.bin_width)):
+        raise ValueError("--scale and --bin-width put the edge cap 2*scale/sqrt(bin_width) beyond the float range")
+    if not math.isfinite(args.tmax - args.tmin):
+        raise ValueError("--tmin and --tmax are too far apart: tmax - tmin overflows")
+    if not all(math.isfinite(t - args.deps + args.shift) for t in (args.tmin, args.tmax)):
+        raise ValueError("--deps and --shift put T_sum - deps + shift beyond the float range at an end of the grid")
     ts = np.linspace(args.tmin, args.tmax, args.steps)
     dens = decaymodel.threshold_lineshape(ts, args.deps, params)
-    rows = [(float(t), float(d)) for t, d in zip(ts, dens)]
+    rows = list(zip(ts.tolist(), dens.tolist()))
     _emit(args, constants, ("T_sum_keV", "density"), rows)
     return 0
 

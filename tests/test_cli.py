@@ -1,18 +1,22 @@
+import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import diracpair
-from diracpair.cli import _build_parser, main
+from diracpair.cli import _build_parser, _emit, _fmt, main
+from diracpair.core import DEFAULT_CONSTANTS
 
 
 # one valid record, so that only a count flag can be at fault
@@ -275,6 +279,10 @@ def test_config_override_changes_header_and_values(tmp_path, capsys):
         (("counting-time", "--x0", "1", "--xmin", "1e-310", "--xmax", "10", "--steps", "2"), "--xmin"),
         (("kinematics", "--deps", "1e300", "--branch", "+"), "--deps"),
         (("kinematics", "invert", "--deps", "1e300", "--branch", "-", "--target", "576"), "--deps"),
+        # once exited 0 printing, in turn: inf; nan and inf; a density of 0 where 7e145 is right
+        (("lineshape", "--deps", "800", "--tmin", "800", "--tmax", "801", "--steps", "2", "--scale", "1e300", "--bin-width", "1e-300"), "--scale"),
+        (("lineshape", "--deps=0", "--tmin=-1e308", "--tmax=1e308", "--steps=3"), "--tmax"),
+        (("lineshape", "--deps=-1e308", "--tmin=0", "--tmax=1e308", "--steps=2", "--scale=1e300"), "--deps"),
     ],
 )
 def test_invalid_number_exits_2_with_message(capsys, argv, flag):
@@ -327,6 +335,59 @@ def test_match_non_finite_beam_energy_exits_2_with_message(tmp_path, capsys, x_t
     assert code == 2
     assert out == ""
     assert "beam energy" in err
+
+
+# --- CSV writer -------------------------------------------------------------------
+#
+# _emit writes the CSV body a column at a time; the per-row join it replaced is
+# the oracle, and the two must agree byte for byte.
+
+
+def _row_oracle(row):
+    return ",".join(map(_fmt, row))
+
+
+def _emitted(columns, rows):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(argparse.Namespace(format="csv"), DEFAULT_CONSTANTS, columns, rows)
+    return out.getvalue()
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300, math.inf, -math.inf, math.nan)),
+)
+_CELLS = {
+    "float": _FLOATS,
+    "np.float64": _FLOATS.map(np.float64),
+    "int": st.integers(-(10**40), 10**40),
+    "bool": st.booleans(),
+    "None": st.none(),
+    "str": st.text(alphabet="%,.-e0a", max_size=6),
+}
+_CELLS["mixed"] = st.one_of(*_CELLS.values())
+
+
+@st.composite
+def _tables(draw):
+    """(columns, rows): 1-4 columns, each of one cell kind, and 0-6 rows."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=4))
+    n_rows = draw(st.integers(0, 6))
+    cols = [draw(st.lists(_CELLS[kind], min_size=n_rows, max_size=n_rows)) for kind in kinds]
+    return [f"c{i}" for i in range(len(kinds))], list(zip(*cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables())
+@example(table=(["c0"], []))
+@example(table=(["c0"], [(1.0,)]))
+@example(table=(["c0", "c1"], [(True, 1.0), (False, -0.0)]))
+@example(table=(["c0", "c1"], [(1.5, "100%,"), (np.float64(2.5), "%s%%")]))
+def test_csv_body_matches_the_per_row_join(table):
+    columns, rows = table
+    expected = _emitted(columns, []) + "".join(_row_oracle(row) + "\n" for row in rows)
+    assert _emitted(columns, rows) == expected
 
 
 # --- parser reuse ---------------------------------------------------------------
@@ -508,6 +569,45 @@ _LOG_UNIFORM = st.one_of(
 def test_zbw_argv_exits_0_with_finite_output_or_2(dwidth, tmax, p0, tsteps):
     # --flag=value, because argparse would read "-1e-3" as an option
     argv = ("zbw", f"--dwidth={dwidth!r}", f"--tmax={tmax!r}", f"--p0={p0!r}", f"--tsteps={tsteps}")
+    code, out = _quiet_call(argv)
+    assert code in (0, 2), argv
+    if code == 0:
+        assert not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE), argv
+
+
+# a sweep needs 1 <= x0 and 0 < xmin < xmax, which few random draws meet (none
+# in 600 of hypothesis's); the README-shaped example always does
+@settings(max_examples=200, deadline=None)
+@given(x0=_LOG_UNIFORM, xmin=_LOG_UNIFORM, xmax=_LOG_UNIFORM, steps=st.integers(1, 20))
+@example(x0=1.0, xmin=0.1, xmax=10.0, steps=20)
+# the per-flag overflow cases of test_invalid_number_exits_2_with_message
+@example(x0=1e155, xmin=0.1, xmax=10.0, steps=2)
+@example(x0=1.0, xmin=1e-310, xmax=10.0, steps=2)
+def test_counting_time_argv_exits_0_with_finite_output_or_2(x0, xmin, xmax, steps):
+    argv = ("counting-time", f"--x0={x0!r}", f"--xmin={xmin!r}", f"--xmax={xmax!r}", f"--steps={steps}")
+    code, out = _quiet_call(argv)
+    assert code in (0, 2), argv
+    if code == 0:
+        assert not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE), argv
+
+
+# a grid needs tmin < tmax and a positive scale and bin width: about one
+# draw in forty of hypothesis's, and the README-shaped example
+@settings(max_examples=200, deadline=None)
+@given(
+    deps=_LOG_UNIFORM, tmin=_LOG_UNIFORM, tmax=_LOG_UNIFORM, scale=_LOG_UNIFORM, shift=_LOG_UNIFORM,
+    bin_width=_LOG_UNIFORM, steps=st.integers(1, 20),
+)
+@example(deps=818.8, tmin=800.0, tmax=900.0, scale=1.0, shift=0.0, bin_width=1.0, steps=20)
+# each once printed inf or nan with exit 0
+@example(deps=800.0, tmin=800.0, tmax=801.0, scale=1e300, shift=0.0, bin_width=1e-300, steps=2)
+@example(deps=0.0, tmin=-1e308, tmax=1e308, scale=1.0, shift=0.0, bin_width=1.0, steps=3)
+@example(deps=800.0, tmin=800.0, tmax=801.0, scale=3.3e289, shift=0.0, bin_width=1.3e-60, steps=2)
+def test_lineshape_argv_exits_0_with_finite_output_or_2(deps, tmin, tmax, scale, shift, bin_width, steps):
+    argv = (
+        "lineshape", f"--deps={deps!r}", f"--tmin={tmin!r}", f"--tmax={tmax!r}", f"--scale={scale!r}",
+        f"--shift={shift!r}", f"--bin-width={bin_width!r}", f"--steps={steps}",
+    )
     code, out = _quiet_call(argv)
     assert code in (0, 2), argv
     if code == 0:
