@@ -6,12 +6,19 @@
 `counting-time` and `lineshape`, plus `match` on the one-record test
 catalog, all compared byte for byte; `algebra` holds `algebra-check`, whose
 residuals are rounding noise and are compared within 1e-14.  Both were
-taken before unused parameters, fields and helpers were removed.
+taken before unused parameters, fields and helpers were removed.  Before the CLI
+writer was handed columns in place of rows and `counting_time` took arrays,
+the JSON forms of the README `lineshape` and `scatter` step examples joined
+`exact`, that of the README `zbw` example joined `zbw` (its currents come
+from a BLAS product whose last bits depend on the thread count), and `ulp`
+took `counting-time --format json`, whose full-precision floats are
+compared within one ulp.
 
     PYTHONPATH=src python tests/test_golden_cli.py scatter   # rewrites tests/data/golden_scatter.json
     PYTHONPATH=src python tests/test_golden_cli.py zbw       # rewrites tests/data/golden_zbw.json
     PYTHONPATH=src python tests/test_golden_cli.py exact     # rewrites tests/data/golden_exact.json
     PYTHONPATH=src python tests/test_golden_cli.py algebra   # rewrites tests/data/golden_algebra.json
+    PYTHONPATH=src python tests/test_golden_cli.py ulp       # rewrites tests/data/golden_ulp.json
 
 Regenerate only to add cases, never to absorb a changed number: a capture
 is the reference its kernel is compared against.
@@ -22,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -62,6 +70,7 @@ SCATTER_CASES = (
 ZBW_CASES = (
     # the README example
     ("zbw", "--dwidth", "0.002", "--tmax", "0.2", "--tsteps", "400", "--p0", "1022"),
+    ("zbw", "--dwidth", "0.002", "--tmax", "0.2", "--tsteps", "400", "--p0", "1022", "--format", "json"),
     # narrow and boosted packets shaped like the benchmark's 800-step series
     ("zbw", "--dwidth", "0.000316", "--tmax", "0.03", "--tsteps", "800", "--p0", "240"),
     ("zbw", "--dwidth", "0.0075", "--tmax", "0.2", "--tsteps", "800", "--p0", "750"),
@@ -81,6 +90,9 @@ EXACT_CASES = (
     ("reproduce-tables",),
     ("counting-time", "--x0", "1", "--xmin", "0.1", "--xmax", "10", "--steps", "200"),
     ("lineshape", "--deps", "818.8", "--tmin", "800", "--tmax", "900", "--steps", "200"),
+    # JSON writes every float at full precision
+    ("lineshape", "--deps", "818.8", "--tmin", "800", "--tmax", "900", "--steps", "200", "--format", "json"),
+    ("scatter", "--alt", "d2", "--v0", "1533", "--emin", "520", "--emax", "5110", "--steps", "100", "--format", "json"),
     # match on a catalog that ships with the tests
     ("match", "--catalog", CATALOG_ARG, "--top-k", "3"),
     ("match", "--catalog", CATALOG_ARG, "--top-k", "3", "--format", "json"),
@@ -91,7 +103,12 @@ ALGEBRA_CASES = (
     ("algebra-check", "--format", "json"),
 )
 
-CASES = {"scatter": SCATTER_CASES, "zbw": ZBW_CASES, "exact": EXACT_CASES, "algebra": ALGEBRA_CASES}
+# (x0 + x)^2 may round either way by one ulp, which JSON's 17 digits show
+ULP_CASES = (
+    ("counting-time", "--x0", "1", "--xmin", "0.1", "--xmax", "10", "--steps", "200", "--format", "json"),
+)
+
+CASES = {"scatter": SCATTER_CASES, "zbw": ZBW_CASES, "exact": EXACT_CASES, "algebra": ALGEBRA_CASES, "ulp": ULP_CASES}
 # columns compared exactly as text; every other column within ABS_TOL
 EXACT = {"classification", "level", "t"}
 
@@ -166,6 +183,20 @@ def test_zbw_output_matches_golden(golden, argv):
 @pytest.mark.parametrize("argv", EXACT_CASES, ids=_ids)
 def test_output_is_byte_identical_to_golden(golden, argv):
     assert _run(argv) == (golden[argv]["exit"], golden[argv]["stdout"])
+
+
+@pytest.mark.parametrize("argv", ULP_CASES, ids=_ids)
+def test_output_matches_golden_within_one_ulp(golden, argv):
+    case = golden[argv]
+    code, text = _run(argv)
+    assert code == case["exit"]
+    assert _header(text) == _header(case["stdout"])
+    got, want = _rows(text), _rows(case["stdout"])
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        for key in g:
+            assert abs(g[key] - w[key]) <= math.ulp(w[key]), (key, g, w)
 
 
 def _residuals(text: str) -> dict:
