@@ -35,25 +35,28 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(args, constants, columns, rows, payload=None, extra_header=None) -> None:
+def _emit(args, constants, columns, payload=None, extra_header=None) -> None:
     """Write CSV (default) or JSON to stdout with the constants header.
 
-    ``extra_header`` is a dict of derived scalars printed as an extra comment
-    line (CSV) or merged into the document (JSON).  ``payload``, a dict,
-    stands in for the rows in the JSON document; CSV always writes the rows.
+    ``columns`` maps each column name, in output order, to the sequence of
+    its cells; every column has the same length.  ``extra_header`` is a dict
+    of derived scalars printed as an extra comment line (CSV) or merged into
+    the document (JSON).  ``payload``, a dict, stands in for the rows in the
+    JSON document; CSV always writes the columns.
 
-    The CSV body is written a column at a time: a column whose cells are all
-    exactly ``float`` is rendered by ``%.10g``, every other column (str, int,
-    bool, None, numpy scalars, mixed) by ``_fmt`` once per cell, and each row
-    is then one ``%`` of a per-column template.  The bytes are identical to
-    ``",".join(map(_fmt, row))`` per row; the rows must all have
-    ``len(columns)`` cells.
+    The CSV body is one ``%`` of the per-column template repeated once per
+    row: a column whose cells are all exactly ``float`` is rendered by
+    ``%.10g``, every other column (str, int, bool, None, numpy scalars,
+    mixed) by ``_fmt`` once per cell and ``%s``.  The flat argument list is
+    filled a column at a time.  The bytes are identical to
+    ``",".join(map(_fmt, row))`` per row.
     """
     header = {
         "m_e_keV": constants.electron_rest_energy,
         "alpha0": constants.fine_structure,
         "numeric_tolerance": constants.numeric_tolerance,
     }
+    names, cols = list(columns), list(columns.values())
     if args.format == "json":
         doc = {"constants": header}
         if extra_header:
@@ -61,17 +64,22 @@ def _emit(args, constants, columns, rows, payload=None, extra_header=None) -> No
         if payload is not None:
             doc["result"] = payload
         else:
-            doc["rows"] = [dict(zip(columns, row)) for row in rows]
+            doc["rows"] = [dict(zip(names, row)) for row in zip(*cols)]
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return
     out = ["# " + " ".join(f"{k}={_fmt(v)}" for k, v in d.items()) for d in (header, extra_header) if d]
-    out.append(",".join(columns))
-    cols = list(zip(*rows))
-    is_float = [all(type(v) is float for v in col) for col in cols]
-    template = ",".join("%.10g" if f else "%s" for f in is_float)
-    cells = [col if f else map(_fmt, col) for col, f in zip(cols, is_float)]
-    out.extend(map(template.__mod__, zip(*cells)))
-    sys.stdout.write("\n".join(out) + "\n")
+    out.append(",".join(names))
+    k, n = len(cols), len(cols[0])
+    flat = [None] * (k * n)
+    template = []
+    for i, col in enumerate(cols):
+        if set(map(type, col)) <= {float}:
+            template.append("%.10g")
+            flat[i::k] = col
+        else:
+            template.append("%s")
+            flat[i::k] = map(_fmt, col)
+    sys.stdout.write("\n".join(out) + "\n" + (",".join(template) + "\n") * n % tuple(flat))
 
 
 # --- subcommand implementations -----------------------------------------------
@@ -118,7 +126,7 @@ def _cmd_algebra_check(args, constants) -> int:
     payload = {name: worst[name] for name in sorted(worst)}
     payload["max_residual"] = max(worst.values())
     payload["passed"] = bool(payload["max_residual"] < tol)
-    _emit(args, constants, ("identity", "max_residual"), list(payload.items()), payload=payload)
+    _emit(args, constants, {"identity": list(payload), "max_residual": list(payload.values())}, payload=payload)
     return 0 if payload["passed"] else 1
 
 
@@ -133,21 +141,32 @@ def _cmd_scatter(args, constants) -> int:
         if args.well_width is None:
             raise ValueError("--well-depth needs --well-width")
         levels = scatter1d.square_well_bound_states(alt, args.well_depth, args.well_width, constants)
-        rows = [(i, e) for i, e in enumerate(levels)]
-        _emit(args, constants, ("level", "E_keV"), rows)
+        _emit(args, constants, {"level": list(range(len(levels))), "E_keV": list(levels)})
         return 0
     if args.v0 is None or args.emin is None or args.emax is None:
         raise ValueError("transmission sweep needs --v0, --emin, and --emax")
     if args.emin <= 0 or args.emax <= args.emin:
         raise ValueError("need 0 < emin < emax")
+    # every region's momentum is at most |E| + |V0| + m, and a barrier's
+    # propagation phase is that momentum times its width
+    reach = args.emax + abs(args.v0) + constants.m
+    if not math.isfinite(reach):
+        raise ValueError("--v0 and --emax put E - V0 beyond the float range")
+    if args.width is not None and not math.isfinite(reach * args.width):
+        raise ValueError("--width is too large for this sweep: the phase p * width overflows")
     energies = np.linspace(args.emin, args.emax, args.steps)
     if args.width is not None:
         profile = scatter1d.PotentialProfile.barrier(args.v0, args.width)
         res = scatter1d.barrier_transmission(alt, profile, energies, constants)
     else:
         res = scatter1d.step_transmission(alt, args.v0, energies, constants)
-    rows = list(zip(energies.tolist(), res.T.tolist(), res.R.tolist(), res.classification.tolist()))
-    _emit(args, constants, ("E", "T", "R", "classification"), rows)
+    columns = {
+        "E": energies.tolist(),
+        "T": res.T.tolist(),
+        "R": res.R.tolist(),
+        "classification": res.classification.tolist(),
+    }
+    _emit(args, constants, columns)
     return 0
 
 
@@ -156,22 +175,30 @@ def _cmd_levels(args, constants) -> int:
     labels = [s.strip() for s in args.shells.split(",") if s.strip()]
     if not labels:
         raise ValueError("no shells given")
-    rows = []
-    for label in labels:
-        shell = hydrogenic.Shell.from_label(label)
-        e_plus = hydrogenic.level_energy(ion, shell, +1, constants)
-        rows.append((ion.symbol, label, shell.n, shell.j, e_plus, -e_plus))
-    _emit(args, constants, ("ion", "shell", "n", "j", "E_plus_keV", "E_minus_keV"), rows)
+    shells = [hydrogenic.Shell.from_label(label) for label in labels]
+    e_plus = [hydrogenic.level_energy(ion, shell, +1, constants) for shell in shells]
+    columns = {
+        "ion": [ion.symbol] * len(shells),
+        "shell": labels,
+        "n": [shell.n for shell in shells],
+        "j": [shell.j for shell in shells],
+        "E_plus_keV": e_plus,
+        "E_minus_keV": [-e for e in e_plus],
+    }
+    _emit(args, constants, columns)
     return 0
 
 
 def _cmd_transitions(args, constants) -> int:
     ion = hydrogenic.get_ion(args.ion)
-    rows = [
-        (tr.name, tr.upper.label, tr.lower.label, tr.delta_eps)
-        for tr in hydrogenic.transition_table(ion, constants=constants)
-    ]
-    _emit(args, constants, ("transition", "upper", "lower", "delta_eps_keV"), rows)
+    table = hydrogenic.transition_table(ion, constants=constants)
+    columns = {
+        "transition": [tr.name for tr in table],
+        "upper": [tr.upper.label for tr in table],
+        "lower": [tr.lower.label for tr in table],
+        "delta_eps_keV": [tr.delta_eps for tr in table],
+    }
+    _emit(args, constants, columns)
     return 0
 
 
@@ -193,9 +220,9 @@ def _cmd_zbw(args, constants) -> int:
     times = np.linspace(0.0, args.tmax, args.tsteps)
     charge = wavepacket.charge_current(packet, constants)
     prob = wavepacket.probability_current(packet, times, constants)
-    rows = [(t, j, charge) for t, j in zip(times.tolist(), prob.tolist())]
+    columns = {"t": times.tolist(), "prob_current": prob.tolist(), "charge_current": [charge] * len(times)}
     extra = {"neg_energy_fraction": wavepacket.negative_energy_fraction(packet)}
-    _emit(args, constants, ("t", "prob_current", "charge_current"), rows, extra_header=extra)
+    _emit(args, constants, columns, extra_header=extra)
     return 0
 
 
@@ -222,41 +249,33 @@ def _cmd_kinematics(args, constants) -> int:
         if args.target is None:
             raise ValueError("invert mode needs --target")
         roots = kinematics.solve_theta(boost, args.deps, args.branch, args.target, constants)
-        rows = [(math.degrees(t),) for t in roots]
-        _emit(args, constants, ("theta_e_deg",), rows)
+        _emit(args, constants, {"theta_e_deg": [math.degrees(t) for t in roots]})
         return 0
     sol = kinematics.lab_pair_energy(boost, args.deps, math.radians(args.theta), args.branch, constants)
     payload = _pair_solution_payload(sol)
-    _emit(args, constants, tuple(payload), [tuple(payload.values())], payload=payload)
+    _emit(args, constants, {name: [value] for name, value in payload.items()}, payload=payload)
     return 0
 
 
 def _cmd_match(args, constants) -> int:
     records = matcher.load_catalog(args.catalog)
-    rows = []
+    hits = []
     for rec in records:
         cands = matcher.candidate_transitions(
             rec.system[0], rec.system[1], constants=constants, x=rec.beam_energy_x
         )
-        for res in matcher.match_peak(rec, cands, top_k=args.top_k, constants=constants):
-            rows.append(
-                (
-                    rec.system_name,
-                    rec.spectrometer,
-                    rec.observed,
-                    res.transition.name,
-                    res.branch,
-                    res.theory_at_45,
-                    res.residual_at_45,
-                    res.solved_theta_deg,
-                )
-            )
-    _emit(
-        args,
-        constants,
-        ("system", "spectrometer", "observed_keV", "transition", "branch", "theory_at_45_keV", "residual_keV", "theta_e_deg"),
-        rows,
-    )
+        hits += [(rec, res) for res in matcher.match_peak(rec, cands, top_k=args.top_k, constants=constants)]
+    columns = {
+        "system": [rec.system_name for rec, _ in hits],
+        "spectrometer": [rec.spectrometer for rec, _ in hits],
+        "observed_keV": [rec.observed for rec, _ in hits],
+        "transition": [res.transition.name for _, res in hits],
+        "branch": [res.branch for _, res in hits],
+        "theory_at_45_keV": [res.theory_at_45 for _, res in hits],
+        "residual_keV": [res.residual_at_45 for _, res in hits],
+        "theta_e_deg": [res.solved_theta_deg for _, res in hits],
+    }
+    _emit(args, constants, columns)
     return 0
 
 
@@ -267,8 +286,8 @@ def _cmd_reproduce_tables(args, constants) -> int:
         "published_theory_keV", "computed_theory_keV", "published_theta_deg", "computed_theta_deg",
         "theory_ok", "theta_ok", "marginal", "flags",
     )
-    rows = [tuple(rep.as_row()[c] for c in columns) for rep in reports]
-    _emit(args, constants, columns, rows)
+    rows = [rep.as_row() for rep in reports]
+    _emit(args, constants, {c: [row[c] for row in rows] for c in columns})
     headline = [r for r in reports if r.theory_headline] + [r for r in reports if r.theta_headline]
     ok = all(r.theory_ok for r in reports if r.theory_headline) and all(
         r.theta_ok for r in reports if r.theta_headline
@@ -289,13 +308,14 @@ def _cmd_counting_time(args, constants) -> int:
     # (x0 + x)^2 and tau = (x0 + x)^2 / x >= 1/x peak at the ends of the sweep
     if not max((args.x0 + x) * max(1.0, 1.0 / math.sqrt(x)) for x in (args.xmin, args.xmax)) < _ROOT_MAX / 2:
         raise ValueError("--x0, --xmin and --xmax put the counting time (x0 + x)^2/x beyond the float range")
-    xs = np.linspace(args.xmin, args.xmax, args.steps).tolist()
-    rows = [
-        (x, decaymodel.counting_time(x, args.x0, "baseline"), decaymodel.counting_time(x, args.x0, "metastable"))
-        for x in xs
-    ]
+    xs = np.linspace(args.xmin, args.xmax, args.steps)
+    columns = {
+        "x": xs.tolist(),
+        "tau_baseline": decaymodel.counting_time(xs, args.x0, "baseline").tolist(),
+        "tau_metastable": decaymodel.counting_time(xs, args.x0, "metastable").tolist(),
+    }
     extra = {"optimal_x": x_opt, "tau_min": tau_min, "sigma_ep_rel_at_optimum": sigma_opt}
-    _emit(args, constants, ("x", "tau_baseline", "tau_metastable"), rows, extra_header=extra)
+    _emit(args, constants, columns, extra_header=extra)
     return 0
 
 
@@ -319,8 +339,7 @@ def _cmd_lineshape(args, constants) -> int:
         raise ValueError("--deps and --shift put T_sum - deps + shift beyond the float range at an end of the grid")
     ts = np.linspace(args.tmin, args.tmax, args.steps)
     dens = decaymodel.threshold_lineshape(ts, args.deps, params)
-    rows = list(zip(ts.tolist(), dens.tolist()))
-    _emit(args, constants, ("T_sum_keV", "density"), rows)
+    _emit(args, constants, {"T_sum_keV": ts.tolist(), "density": dens.tolist()})
     return 0
 
 

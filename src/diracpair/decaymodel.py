@@ -72,19 +72,32 @@ def pair_cross_section(current: float, params: DecayParams) -> float:
     return params.sigma0 / (params.x0 + params.eta * current)
 
 
-def counting_time(x: float, x0: float = 1.0, mode: str = "metastable") -> float:
+def counting_time(x, x0: float = 1.0, mode: str = "metastable"):
     """Dimensionless counting time to significance at dimensionless current x.
 
     mode 'baseline' gives 1/x (more current, faster); 'metastable' gives
     (x0 + x)^2 / x, minimized at x = x0 and rising for stronger beams.
+    Accepts a scalar or an array of currents; the square is the correctly
+    rounded y * y, y = x0 + x, so an array gives each element's scalar
+    value exactly.  Raises ValueError for any current that is not a positive
+    finite number and for any time beyond the float range.
     """
-    if x <= 0.0:
-        raise ValueError("dimensionless current must be positive")
-    if mode == "baseline":
-        return 1.0 / x
-    if mode == "metastable":
-        return (x0 + x) ** 2 / x
-    raise ValueError(f"mode must be 'baseline' or 'metastable', got {mode!r}")
+    xs = np.asarray(x, dtype=float)
+    if not np.all((xs > 0.0) & (xs < math.inf)):
+        raise ValueError("dimensionless current must be positive and finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "baseline":
+            out = 1.0 / xs
+        elif mode == "metastable":
+            y = x0 + xs
+            out = y * y / xs
+        else:
+            raise ValueError(f"mode must be 'baseline' or 'metastable', got {mode!r}")
+    if not np.all(np.isfinite(out)):
+        raise ValueError("counting time is beyond the float range")
+    if np.isscalar(x):
+        return float(out)
+    return out
 
 
 def optimal_current(x0: float) -> tuple[float, float]:
@@ -100,12 +113,18 @@ def threshold_lineshape(t_sum, delta_eps: float, params: LineShapeParams):
     Below threshold the density vanishes; within the first bin [0, bin_width]
     the integrable divergence is reported as its bin average
     2 * scale / sqrt(bin_width), which preserves the integral exactly.
-    Accepts a scalar or an array of T_sum values (keV).
+    Accepts a scalar or an array of T_sum values (keV).  Raises ValueError
+    when the cap or any x is not a finite float.
     """
     t = np.asarray(t_sum, dtype=float)
-    x = t - delta_eps + params.delta_eps_shift
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = t - delta_eps + params.delta_eps_shift
     eps = params.bin_width
     cap = 2.0 * params.density_scale / math.sqrt(eps)
+    if not math.isfinite(cap):
+        raise ValueError("edge cap 2*scale/sqrt(bin_width) is beyond the float range")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x = T_sum - delta_eps + shift must be finite")
     with np.errstate(divide="ignore", invalid="ignore"):
         tail = params.density_scale / np.sqrt(np.where(x > 0.0, x, np.inf))
     out = np.where(x < 0.0, 0.0, np.where(x <= eps, cap, tail))

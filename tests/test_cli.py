@@ -283,6 +283,9 @@ def test_config_override_changes_header_and_values(tmp_path, capsys):
         (("lineshape", "--deps", "800", "--tmin", "800", "--tmax", "801", "--steps", "2", "--scale", "1e300", "--bin-width", "1e-300"), "--scale"),
         (("lineshape", "--deps=0", "--tmin=-1e308", "--tmax=1e308", "--steps=3"), "--tmax"),
         (("lineshape", "--deps=-1e308", "--tmin=0", "--tmax=1e308", "--steps=2", "--scale=1e300"), "--deps"),
+        # once exited 0 printing nan: E - V0 overflows; a barrier phase p * width overflows
+        (("scatter", "--alt=d1", "--v0=-1e308", "--emin=1e307", "--emax=1e308", "--steps=2"), "--v0"),
+        (("scatter", "--alt=d1", "--v0=1", "--width=1e130", "--emin=1e35", "--emax=1e247", "--steps=9"), "--width"),
     ],
 )
 def test_invalid_number_exits_2_with_message(capsys, argv, flag):
@@ -339,19 +342,31 @@ def test_match_non_finite_beam_energy_exits_2_with_message(tmp_path, capsys, x_t
 
 # --- CSV writer -------------------------------------------------------------------
 #
-# _emit writes the CSV body a column at a time; the per-row join it replaced is
-# the oracle, and the two must agree byte for byte.
+# _emit is handed columns and writes the CSV body with one % over all rows; the
+# per-row join it replaced is the oracle, and the two must agree byte for byte.
+# Its JSON must equal the document it built when it was handed rows.
 
 
 def _row_oracle(row):
     return ",".join(map(_fmt, row))
 
 
-def _emitted(columns, rows):
+def _emitted(columns, fmt="csv"):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        _emit(argparse.Namespace(format="csv"), DEFAULT_CONSTANTS, columns, rows)
+        _emit(argparse.Namespace(format=fmt), DEFAULT_CONSTANTS, columns)
     return out.getvalue()
+
+
+def _row_document(columns, rows):
+    """The JSON document _emit wrote when it was handed rows."""
+    constants = {
+        "m_e_keV": DEFAULT_CONSTANTS.electron_rest_energy,
+        "alpha0": DEFAULT_CONSTANTS.fine_structure,
+        "numeric_tolerance": DEFAULT_CONSTANTS.numeric_tolerance,
+    }
+    doc = {"constants": constants, "rows": [dict(zip(columns, row)) for row in rows]}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 _FLOATS = st.one_of(
@@ -371,23 +386,23 @@ _CELLS["mixed"] = st.one_of(*_CELLS.values())
 
 @st.composite
 def _tables(draw):
-    """(columns, rows): 1-4 columns, each of one cell kind, and 0-6 rows."""
+    """Columns name -> cells: 1-4 columns, each of one cell kind, and 0-6 rows."""
     kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=4))
     n_rows = draw(st.integers(0, 6))
-    cols = [draw(st.lists(_CELLS[kind], min_size=n_rows, max_size=n_rows)) for kind in kinds]
-    return [f"c{i}" for i in range(len(kinds))], list(zip(*cols))
+    return {f"c{i}": draw(st.lists(_CELLS[kind], min_size=n_rows, max_size=n_rows)) for i, kind in enumerate(kinds)}
 
 
 @settings(max_examples=300, deadline=None)
-@given(table=_tables())
-@example(table=(["c0"], []))
-@example(table=(["c0"], [(1.0,)]))
-@example(table=(["c0", "c1"], [(True, 1.0), (False, -0.0)]))
-@example(table=(["c0", "c1"], [(1.5, "100%,"), (np.float64(2.5), "%s%%")]))
-def test_csv_body_matches_the_per_row_join(table):
-    columns, rows = table
-    expected = _emitted(columns, []) + "".join(_row_oracle(row) + "\n" for row in rows)
-    assert _emitted(columns, rows) == expected
+@given(columns=_tables())
+@example(columns={"c0": []})
+@example(columns={"c0": [1.0]})
+@example(columns={"c0": [True, False], "c1": [1.0, -0.0]})
+@example(columns={"c0": [1.5, np.float64(2.5)], "c1": ["100%,", "%s%%"]})
+def test_csv_body_matches_the_per_row_join(columns):
+    rows = list(zip(*columns.values()))
+    expected = _emitted({name: [] for name in columns}) + "".join(_row_oracle(row) + "\n" for row in rows)
+    assert _emitted(columns) == expected
+    assert _emitted(columns, "json") == _row_document(list(columns), rows)
 
 
 # --- parser reuse ---------------------------------------------------------------
@@ -608,6 +623,36 @@ def test_lineshape_argv_exits_0_with_finite_output_or_2(deps, tmin, tmax, scale,
         "lineshape", f"--deps={deps!r}", f"--tmin={tmin!r}", f"--tmax={tmax!r}", f"--scale={scale!r}",
         f"--shift={shift!r}", f"--bin-width={bin_width!r}", f"--steps={steps}",
     )
+    code, out = _quiet_call(argv)
+    assert code in (0, 2), argv
+    if code == 0:
+        assert not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE), argv
+
+
+# a sweep needs m < emin < emax and a bound-state run a positive well: about
+# one draw in ten exits 0, most of them wells; the README-shaped examples do
+@settings(max_examples=200, deadline=None)
+@given(
+    mode=st.sampled_from(("step", "barrier", "well")), alt=st.sampled_from(("d1", "d2")),
+    fmt=st.sampled_from(("csv", "json")), v0=_LOG_UNIFORM, width=_LOG_UNIFORM, emin=_LOG_UNIFORM,
+    emax=_LOG_UNIFORM, well_depth=_LOG_UNIFORM, well_width=_LOG_UNIFORM, steps=st.integers(1, 20),
+)
+@example(mode="step", alt="d2", fmt="json", v0=1533.0, width=0.0, emin=520.0, emax=5110.0, well_depth=0.0, well_width=0.0, steps=20)
+@example(mode="barrier", alt="d1", fmt="csv", v0=1533.0, width=0.004, emin=600.0, emax=2600.0, well_depth=0.0, well_width=0.0, steps=20)
+@example(mode="well", alt="d1", fmt="csv", v0=0.0, width=0.0, emin=0.0, emax=0.0, well_depth=766.5, well_width=0.0039, steps=1)
+# each once printed nan with exit 0: E - V0 overflows; the barrier phase p * width overflows
+@example(mode="step", alt="d1", fmt="csv", v0=-1e308, width=0.0, emin=1e307, emax=1e308, well_depth=0.0, well_width=0.0, steps=2)
+@example(
+    mode="barrier", alt="d1", fmt="csv", v0=1.337103928840983e-46, width=1.9288181272733165e130,
+    emin=9.087402182063725e34, emax=4.7665105555205924e247, well_depth=0.0, well_width=0.0, steps=9,
+)
+def test_scatter_argv_exits_0_with_finite_output_or_2(mode, alt, fmt, v0, width, emin, emax, well_depth, well_width, steps):
+    if mode == "well":
+        flags = (f"--well-depth={well_depth!r}", f"--well-width={well_width!r}")
+    else:
+        flags = (f"--v0={v0!r}", f"--emin={emin!r}", f"--emax={emax!r}", f"--steps={steps}")
+        flags += (f"--width={width!r}",) if mode == "barrier" else ()
+    argv = ("scatter", f"--alt={alt}", f"--format={fmt}", *flags)
     code, out = _quiet_call(argv)
     assert code in (0, 2), argv
     if code == 0:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diracpair import decaymodel as dm
 
@@ -56,6 +60,42 @@ def test_counting_time_rejects_bad_input():
         dm.counting_time(0.0)
     with pytest.raises(ValueError):
         dm.counting_time(1.0, mode="other")
+
+
+@pytest.mark.parametrize("mode", ["baseline", "metastable"])
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf, [1.0, 0.0], [2.0, -3.0], [1.0, math.nan]])
+def test_counting_time_rejects_a_current_that_is_not_positive_and_finite(x, mode):
+    with pytest.raises(ValueError, match="positive and finite"):
+        dm.counting_time(np.array(x) if isinstance(x, list) else x, 1.0, mode)
+
+
+@pytest.mark.parametrize("x", [0.1, np.array([0.1, 10.0])])
+def test_counting_time_fails_closed_on_overflow(x):
+    # (x0 + x)**2 raised OverflowError here; y * y would give inf
+    with pytest.raises(ValueError, match="float range"):
+        dm.counting_time(x, 1e155)
+    with pytest.raises(ValueError, match="float range"):
+        dm.counting_time(x, math.nan)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    x0=st.floats(1.0, 1e100),
+    xs=st.lists(st.floats(1e-100, 1e100), min_size=1, max_size=20),
+)
+# libm pow rounds this (x0 + x)^2 one ulp away from y * y, and the two
+# quotients differ by two ulps
+@example(x0=5462.735454767605, xs=[791.1826533667785])
+def test_counting_time_array_equals_the_scalar_per_element(x0, xs):
+    meta = dm.counting_time(np.array(xs), x0)
+    base = dm.counting_time(np.array(xs), x0, "baseline")
+    for x, m, b in zip(xs, meta.tolist(), base.tolist()):
+        scalar = dm.counting_time(x, x0)
+        assert type(scalar) is float and type(dm.counting_time(x, x0, "baseline")) is float
+        assert m == scalar
+        assert b == dm.counting_time(x, x0, "baseline") == 1.0 / x
+        power = (x0 + x) ** 2 / x
+        assert abs(scalar - power) <= 2 * math.ulp(power)
 
 
 def test_optimal_current_analytic():
@@ -133,6 +173,21 @@ def test_lineshape_integral_matches_closed_form():
     dens = dm.threshold_lineshape(818.8 + xs, 818.8, p)
     integral = float(np.trapezoid(dens, xs))
     assert integral == pytest.approx(2.0 * 3.0 * np.sqrt(X), rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "t_sum, delta_eps, params",
+    [
+        # the edge cap 2*scale/sqrt(bin_width) overflows: returned inf
+        (800.0, 800.0, dm.LineShapeParams(density_scale=1e300, bin_width=1e-300)),
+        # x = T_sum - delta_eps overflows: returned 0.0 where 7e145 is right
+        (1e308, -1e308, dm.LineShapeParams(density_scale=1e300)),
+        (np.array([800.0, math.nan]), 800.0, dm.LineShapeParams()),
+    ],
+)
+def test_lineshape_fails_closed(t_sum, delta_eps, params):
+    with pytest.raises(ValueError):
+        dm.threshold_lineshape(t_sum, delta_eps, params)
 
 
 def test_lineshape_array_input():

@@ -103,7 +103,8 @@ ALGEBRA_CASES = (
     ("algebra-check", "--format", "json"),
 )
 
-# (x0 + x)^2 may round either way by one ulp, which JSON's 17 digits show
+# libm pow and y * y can round (x0 + x)^2 one ulp apart, which JSON's 17
+# digits show; no cell of this case moved when the square became y * y
 ULP_CASES = (
     ("counting-time", "--x0", "1", "--xmin", "0.1", "--xmax", "10", "--steps", "200", "--format", "json"),
 )
