@@ -18,9 +18,10 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import hydrogenic, kinematics, matcher
-from .core import Alternative, DEFAULT_CONSTANTS, load_constants, require_finite
+from .core import Alternative, DEFAULT_CONSTANTS, MAX_COUNT, load_constants, require_finite
 
 __all__ = ["main"]
 
@@ -35,6 +36,41 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _csv_cell(col):
+    if set(map(type, col)) <= {float}:
+        return "%.10g", None
+    return "%s", _fmt
+
+
+def _json_cell(col):
+    types = set(map(type, col))
+    # a sum of floats is finite only if every cell is; a sum that overflows
+    # merely sends a finite column down the per-cell path
+    if types <= {float} and math.isfinite(sum(col)):
+        return "%r", None
+    if types <= {str}:
+        return "%s", encode_basestring_ascii
+    return "%s", json.dumps
+
+
+def _render(cols, cell, row_template) -> str:
+    """The rows of ``cols`` as one ``%`` of a per-column row template repeated once per row.
+
+    ``cell(col)`` picks a column's ``%`` spec and the function that renders
+    each of its cells to text, or None to hand the cells to the spec as they
+    are; ``row_template(specs)`` builds one row from the specs.  The flat
+    argument list is filled a column at a time.
+    """
+    k, n = len(cols), len(cols[0])
+    flat = [None] * (k * n)
+    specs = []
+    for i, col in enumerate(cols):
+        spec, render = cell(col)
+        specs.append(spec)
+        flat[i::k] = col if render is None else map(render, col)
+    return row_template(specs) * n % tuple(flat)
+
+
 def _emit(args, constants, columns, payload=None, extra_header=None) -> None:
     """Write CSV (default) or JSON to stdout with the constants header.
 
@@ -44,12 +80,19 @@ def _emit(args, constants, columns, payload=None, extra_header=None) -> None:
     the document (JSON).  ``payload``, a dict, stands in for the rows in the
     JSON document; CSV always writes the columns.
 
-    The CSV body is one ``%`` of the per-column template repeated once per
-    row: a column whose cells are all exactly ``float`` is rendered by
-    ``%.10g``, every other column (str, int, bool, None, numpy scalars,
-    mixed) by ``_fmt`` once per cell and ``%s``.  The flat argument list is
-    filled a column at a time.  The bytes are identical to
-    ``",".join(map(_fmt, row))`` per row.
+    Both bodies are one ``%`` of a per-column row template repeated once per
+    row, filled a column at a time (``_render``).  In CSV a column whose
+    cells are all exactly ``float`` is rendered by ``%.10g`` and every other
+    column (str, int, bool, None, numpy scalars, mixed) by ``_fmt`` once per
+    cell; the bytes are those of ``",".join(map(_fmt, row))`` per row.  In
+    JSON the columns go in sorted key order; a column of finite, exactly
+    ``float`` cells is rendered by ``%r`` (``float.__repr__``, as ``json``
+    does), an all-``str`` column by ``encode_basestring_ascii``, and every
+    other column (nan or inf, numpy scalars, bool, None, int, mixed) by
+    ``json.dumps`` once per cell.  The rest of the document goes through
+    ``json.dumps``, and ``"rows"`` sorts after ``"constants"`` and
+    ``"derived"``, so the bytes are those of
+    ``json.dumps(doc, indent=2, sort_keys=True)`` with the rows as dicts.
     """
     header = {
         "m_e_keV": constants.electron_rest_energy,
@@ -63,23 +106,25 @@ def _emit(args, constants, columns, payload=None, extra_header=None) -> None:
             doc["derived"] = dict(extra_header)
         if payload is not None:
             doc["result"] = payload
-        else:
-            doc["rows"] = [dict(zip(names, row)) for row in zip(*cols)]
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        if payload is None:
+            rows = "[]"
+            if cols[0]:
+                order = sorted(range(len(names)), key=names.__getitem__)
+                keys = [json.dumps(names[i]).replace("%", "%%") for i in order]
+                body = _render(
+                    [cols[i] for i in order],
+                    _json_cell,
+                    lambda specs: "    {\n" + ",\n".join(f"      {key}: {spec}" for key, spec in zip(keys, specs)) + "\n    },\n",
+                )
+                rows = "[\n" + body[:-2] + "\n  ]"
+            # "rows" is the last key: drop the closing "\n}" and append it
+            text = text[:-2] + ',\n  "rows": ' + rows + "\n}"
+        sys.stdout.write(text + "\n")
         return
     out = ["# " + " ".join(f"{k}={_fmt(v)}" for k, v in d.items()) for d in (header, extra_header) if d]
     out.append(",".join(names))
-    k, n = len(cols), len(cols[0])
-    flat = [None] * (k * n)
-    template = []
-    for i, col in enumerate(cols):
-        if set(map(type, col)) <= {float}:
-            template.append("%.10g")
-            flat[i::k] = col
-        else:
-            template.append("%s")
-            flat[i::k] = map(_fmt, col)
-    sys.stdout.write("\n".join(out) + "\n" + (",".join(template) + "\n") * n % tuple(flat))
+    sys.stdout.write("\n".join(out) + "\n" + _render(cols, _csv_cell, lambda specs: ",".join(specs) + "\n"))
 
 
 # --- subcommand implementations -----------------------------------------------
@@ -434,11 +479,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Largest count a flag (steps, top-k, n-random) accepts: far above any real
-# sweep, and small enough that the grids it sizes fit in memory.
-_MAX_COUNT = 10**6
-
-
 def _check_numbers(args) -> None:
     """Reject a non-finite number flag or a count (steps, top-k, n-random) outside [1, 10^6] before any work."""
     for name, value in vars(args).items():
@@ -446,8 +486,8 @@ def _check_numbers(args) -> None:
         if isinstance(value, float):
             require_finite(flag, value)
         elif name.endswith("steps") or name in ("top_k", "n_random"):
-            if value > _MAX_COUNT:
-                raise ValueError(f"{flag} must be at most {_MAX_COUNT}")
+            if value > MAX_COUNT:
+                raise ValueError(f"{flag} must be at most {MAX_COUNT}")
             require_finite(flag, value, positive=True)
 
 

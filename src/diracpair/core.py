@@ -17,6 +17,7 @@ __all__ = [
     "Alternative",
     "Constants",
     "DEFAULT_CONSTANTS",
+    "MAX_COUNT",
     "ROOT_TOLERANCE",
     "bisect_root",
     "energy_of_momentum",
@@ -26,6 +27,11 @@ __all__ = [
 
 # Convergence target for every bracketed bisection solve in the package.
 ROOT_TOLERANCE = 1e-9
+
+# Largest count a flag (steps, top-k, n-random) accepts and largest scan a
+# solver builds: far above any real sweep, and small enough that the grids it
+# sizes fit in memory.
+MAX_COUNT = 10**6
 
 
 class Alternative(enum.Enum):

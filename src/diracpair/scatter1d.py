@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Alternative, Constants, DEFAULT_CONSTANTS, ROOT_TOLERANCE, bisect_root, require_finite
+from .core import Alternative, Constants, DEFAULT_CONSTANTS, MAX_COUNT, ROOT_TOLERANCE, bisect_root, require_finite
 
 __all__ = [
     "CLASSICAL",
@@ -204,6 +204,8 @@ def _transmission(alt: Alternative, values, edges, e, constants: Constants) -> S
     # T >= 0 by construction; the bound T <= 1 can be missed by an ulp near full transparency
     t = np.where(blocked, 0.0, np.minimum(np.abs(tau) ** 2 * lam[-1].real / lam[0].real, 1.0))
     r = np.where(blocked, 1.0, np.abs(rho) ** 2)
+    if not np.isfinite(t + r).all():
+        raise ValueError("T or R is not finite: E - V or a phase p * width lies beyond the float range")
     if np.ndim(e) == 0:
         return ScatterResult(T=float(t[0]), R=float(r[0]), classification=classification[0])
     return ScatterResult(T=t, R=r, classification=classification)
@@ -250,6 +252,36 @@ def barrier_transmission(
 # function of E suitable for a scan + bisection.
 
 
+def _well_k(e, depth: float, m: float):
+    """Interior wavenumber k = sqrt|ab| of the well (its decay constant where ab < 0)."""
+    return np.sqrt(np.abs((e + depth + m) * (e + depth - m)))
+
+
+def _split_by_phase(grid, depth: float, width: float, m: float):
+    """Split each cell of an oscillating segment's scan ``grid`` evenly in k, to at most pi/2 of k*width.
+
+    Levels lie about pi apart in the phase, so no piece holds two.  On such a
+    segment E + depth > m and k rises along it, like sqrt(E + depth - m) from
+    the regime boundary, where a grid uniform in E would need far more
+    points; cells already within pi/2 stay as they are.
+    """
+    k = _well_k(grid, depth, m)
+    if not 2.0 * width * k[-1] / np.pi + grid.size <= MAX_COUNT:
+        raise ValueError(
+            f"well too deep or too wide to scan: its phase k*width reaches {width * k[-1]:.3g}, "
+            f"more than {MAX_COUNT} scan points"
+        )
+    dk = np.diff(k)
+    parts = np.ceil(dk * (width / (0.5 * np.pi)))
+    if not parts.max() > 1.0:
+        return grid
+    parts = np.maximum(parts, 1.0).astype(int)
+    cell = np.repeat(np.arange(parts.size), parts)
+    j = np.arange(cell.size) - np.repeat(np.cumsum(parts) - parts, parts)
+    ks = k[cell] + j * (dk / parts)[cell]
+    return np.append(np.where(j == 0, grid[cell], np.sqrt(ks * ks + m * m) - depth), grid[-1])
+
+
 def _well_secular(e, depth: float, width: float, m: float, oscillating: bool):
     """Level condition of the well V = -depth on (0, width); zero at bound states.
 
@@ -263,7 +295,7 @@ def _well_secular(e, depth: float, width: float, m: float, oscillating: bool):
     """
     a = e + depth + m
     b = e + depth - m
-    k = np.sqrt(np.abs(a * b))
+    k = _well_k(e, depth, m)
     if oscillating:
         c, s = np.cos(k * width), np.sin(k * width) / k
     else:
@@ -284,8 +316,11 @@ def square_well_bound_states(
     one below zero and toward -m.  Under D2 a positive-energy state sees the
     same equation, but only roots with 0 < E < m exist on the positive branch
     (the mirror negatives follow by the spectrum symmetry), so the search
-    window shrinks accordingly.  Roots come from a uniform 2000-point scan of
-    the closed-form level condition plus bisection.
+    window shrinks accordingly.  Roots come from a scan of the closed-form
+    level condition plus bisection: 2000 points uniform in E per segment,
+    with every cell split where it spans more than pi/2 of the phase k*width,
+    and the window ends themselves.  A well whose scan would pass
+    ``MAX_COUNT`` points, or whose phase overflows, raises ValueError.
     """
     if depth < 0.0 or width <= 0.0:
         raise ValueError("need depth >= 0 and width > 0")
@@ -307,6 +342,11 @@ def square_well_bound_states(
             continue
         grid = np.linspace(a, b, 2000)
         oscillating = abs(0.5 * (a + b) + depth) > m
+        if oscillating:
+            grid = _split_by_phase(grid, depth, width, m)
+        # the margin keeps the scan off the regime boundaries, where k = 0; a
+        # level just inside a window end is bracketed by the end itself
+        grid = np.concatenate(([lo] if seg_lo == lo else [], grid, [hi] if seg_hi == hi else []))
         vals = _well_secular(grid, depth, width, m, oscillating)
         sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
         for idx in sign_change:

@@ -340,11 +340,11 @@ def test_match_non_finite_beam_energy_exits_2_with_message(tmp_path, capsys, x_t
     assert "beam energy" in err
 
 
-# --- CSV writer -------------------------------------------------------------------
+# --- CSV and JSON writer ----------------------------------------------------------
 #
-# _emit is handed columns and writes the CSV body with one % over all rows; the
-# per-row join it replaced is the oracle, and the two must agree byte for byte.
-# Its JSON must equal the document it built when it was handed rows.
+# _emit is handed columns and writes each body with one % over all rows; the
+# per-row join it replaced is the CSV oracle, and the two must agree byte for
+# byte.  Its JSON must equal json.dumps of the document with the rows as dicts.
 
 
 def _row_oracle(row):
@@ -379,17 +379,21 @@ _CELLS = {
     "int": st.integers(-(10**40), 10**40),
     "bool": st.booleans(),
     "None": st.none(),
-    "str": st.text(alphabet="%,.-e0a", max_size=6),
+    # quotes, backslashes, control characters and non-ASCII text, which JSON escapes
+    "str": st.text(alphabet='%,.-e0a"\\\x00\x1f\n\t\x7fé€\u2028\U0001f600', max_size=6),
 }
 _CELLS["mixed"] = st.one_of(*_CELLS.values())
+# names whose sorted order, which JSON writes, differs from the order given
+_NAMES = st.one_of(st.sampled_from(("T", "E_keV", "R", "classification", "level", "100%", "%s")), _CELLS["str"])
 
 
 @st.composite
 def _tables(draw):
     """Columns name -> cells: 1-4 columns, each of one cell kind, and 0-6 rows."""
     kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=4))
+    names = draw(st.lists(_NAMES, min_size=len(kinds), max_size=len(kinds), unique=True))
     n_rows = draw(st.integers(0, 6))
-    return {f"c{i}": draw(st.lists(_CELLS[kind], min_size=n_rows, max_size=n_rows)) for i, kind in enumerate(kinds)}
+    return {name: draw(st.lists(_CELLS[kind], min_size=n_rows, max_size=n_rows)) for name, kind in zip(names, kinds)}
 
 
 @settings(max_examples=300, deadline=None)
@@ -398,6 +402,12 @@ def _tables(draw):
 @example(columns={"c0": [1.0]})
 @example(columns={"c0": [True, False], "c1": [1.0, -0.0]})
 @example(columns={"c0": [1.5, np.float64(2.5)], "c1": ["100%,", "%s%%"]})
+@example(columns={"T": [0.5, 1.0], "E_keV": [520.0, 600.0], "R": [0.5, 0.0], "classification": ["klein_zone", "classical"]})
+@example(columns={"x": [math.nan, math.inf, -math.inf], "y": [1.0, 2.0, 3.0]})
+@example(columns={"zero": [-0.0, 0.0, -0.0]})
+# finite cells whose sum overflows
+@example(columns={"big": [1e308, 1e308]})
+@example(columns={'a"\\\x01é': ['"\\\x1f\n', "\U0001f600€"]})
 def test_csv_body_matches_the_per_row_join(columns):
     rows = list(zip(*columns.values()))
     expected = _emitted({name: [] for name in columns}) + "".join(_row_oracle(row) + "\n" for row in rows)

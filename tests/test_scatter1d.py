@@ -108,6 +108,15 @@ def test_barrier_requires_incident_mode():
         sc.barrier_transmission(D1, prof, 0.5 * M)  # gap energy on the free side
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_transmission_fails_closed_on_overflow():
+    # E - V0 and a barrier phase p * width beyond the float range gave T = R = nan
+    with pytest.raises(ValueError, match="not finite"):
+        sc.step_transmission(D1, -1e308, 1e308)
+    with pytest.raises(ValueError, match="not finite"):
+        sc.barrier_transmission(D1, sc.PotentialProfile.barrier(1.0, 1e130), np.array([2.0 * M, 1e247]))
+
+
 def test_d2_step_zero_inside_window():
     for e in np.linspace(1.001 * M, 4.0 * M, 40):
         res = sc.step_transmission(D2, 3 * M, float(e))
@@ -289,6 +298,50 @@ def test_bound_state_wavefunction_matches_at_edges():
         phi_w = transfer @ np.array([1.0, mu_l])
         residual = abs(phi_w[1] - mu_r * phi_w[0]) / (abs(phi_w[0]) + abs(phi_w[1]))
         assert residual < 1e-6
+
+
+def test_level_just_inside_the_window_end_is_found():
+    # the ninth level lies between the window end m(1 - 1e-6) and the edge
+    # margin below it; a dense scan of the window, ends included, puts it at
+    # 510.99843851 keV
+    levels = sc.square_well_bound_states(D2, 428.324, 0.0318909)
+    assert len(levels) == 9
+    assert levels[-1] == pytest.approx(510.99843851, abs=1e-6)
+
+
+def test_wide_well_scan_brackets_every_level():
+    # the levels crowd toward the regime boundary E = m - depth, where k rises
+    # like a square root: a 2000-point scan uniform in E found 533 of these
+    # 4,527.  Oracle: the level condition on a grid uniform in k, 64 points
+    # per pi of k * width; every level must sit in its own bracket.
+    depth, width = 1000.0, 10.0
+    levels = np.array(sc.square_well_bound_states(D1, depth, width))
+
+    def secular(e):
+        a, b = e + depth + M, e + depth - M
+        k = np.sqrt(a * b)
+        c, s = np.cos(k * width), np.sin(k * width) / k
+        mu = np.sqrt(M * M - e * e) / (e + M)
+        phi1, phi2 = c + a * mu * s, b * s - mu * c  # carried from (1, -mu) at the left edge
+        return phi2 - mu * phi1
+
+    hi = M * (1.0 - 1e-6)
+    k_max = math.sqrt((hi + depth + M) * (hi + depth - M))
+    k = np.linspace(k_max * 1e-6, k_max, int(64 * k_max * width / math.pi))
+    grid = np.sqrt(k * k + M * M) - depth
+    f = secular(grid)
+    brackets = np.nonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0.0)[0]
+    assert len(brackets) == 4527
+    assert np.array_equal(np.searchsorted(grid, levels) - 1, brackets)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize(("depth", "width"), [(1e300, 1e300), (1.0, 1e300), (1e200, 1e-300), (1e3, 1e4)])
+def test_square_well_fails_closed_on_a_scan_too_large(depth, width):
+    # k * width overflows (k = inf where (E + depth)^2 does), or the scan
+    # would pass 10^6 points; the first printed no levels with exit 0
+    with pytest.raises(ValueError, match="too deep or too wide"):
+        sc.square_well_bound_states(D1, depth, width)
 
 
 def test_profile_rejects_non_finite_numbers():
