@@ -13,6 +13,7 @@ never touch numpy (``levels``, ``transitions``, ``kinematics``, ``match``,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -129,9 +130,14 @@ def _emit(args, constants, columns, payload=None, extra_header=None) -> None:
 
 # --- subcommand implementations -----------------------------------------------
 
-# Largest float whose square is finite: the domain checks below keep the
-# numbers a handler squares under it.
-_ROOT_MAX = math.sqrt(sys.float_info.max)
+
+@contextlib.contextmanager
+def _flags(*names):
+    """Prefix a ValueError from the library calls inside, which check their own domain, with the flags that fed them."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{', '.join(names)}: {exc}") from None
 
 
 def _cmd_algebra_check(args, constants) -> int:
@@ -185,26 +191,22 @@ def _cmd_scatter(args, constants) -> int:
         # bound-state mode: levels of the attractive square well
         if args.well_width is None:
             raise ValueError("--well-depth needs --well-width")
-        levels = scatter1d.square_well_bound_states(alt, args.well_depth, args.well_width, constants)
+        with _flags("--well-depth", "--well-width"):
+            levels = scatter1d.square_well_bound_states(alt, args.well_depth, args.well_width, constants)
         _emit(args, constants, {"level": list(range(len(levels))), "E_keV": list(levels)})
         return 0
     if args.v0 is None or args.emin is None or args.emax is None:
         raise ValueError("transmission sweep needs --v0, --emin, and --emax")
     if args.emin <= 0 or args.emax <= args.emin:
         raise ValueError("need 0 < emin < emax")
-    # every region's momentum is at most |E| + |V0| + m, and a barrier's
-    # propagation phase is that momentum times its width
-    reach = args.emax + abs(args.v0) + constants.m
-    if not math.isfinite(reach):
-        raise ValueError("--v0 and --emax put E - V0 beyond the float range")
-    if args.width is not None and not math.isfinite(reach * args.width):
-        raise ValueError("--width is too large for this sweep: the phase p * width overflows")
     energies = np.linspace(args.emin, args.emax, args.steps)
     if args.width is not None:
-        profile = scatter1d.PotentialProfile.barrier(args.v0, args.width)
-        res = scatter1d.barrier_transmission(alt, profile, energies, constants)
+        with _flags("--v0", "--width", "--emin", "--emax"):
+            profile = scatter1d.PotentialProfile.barrier(args.v0, args.width)
+            res = scatter1d.barrier_transmission(alt, profile, energies, constants)
     else:
-        res = scatter1d.step_transmission(alt, args.v0, energies, constants)
+        with _flags("--v0", "--emin", "--emax"):
+            res = scatter1d.step_transmission(alt, args.v0, energies, constants)
     columns = {
         "E": energies.tolist(),
         "T": res.T.tolist(),
@@ -252,27 +254,31 @@ def _cmd_zbw(args, constants) -> int:
 
     from . import wavepacket
 
-    spec = wavepacket.GaussianSpec(d_width=args.dwidth)
-    grid = wavepacket.default_grid(args.dwidth, constants)
-    # E_q = sqrt(q^2 + m^2) and the phases 2 E_q t, with E_q about as large as
-    # the grid's reach, must be finite floats
-    reach = float(grid[-1])
-    if not reach < _ROOT_MAX:
-        raise ValueError("--dwidth is too small: the momentum grid, +-8/dwidth keV wide, overflows")
-    if not abs(args.tmax) * reach < sys.float_info.max / 4:
-        raise ValueError("--tmax is too large for this packet: the phases 2 E t overflow")
-    packet = wavepacket.gaussian_amplitudes(spec, grid, center=args.p0, constants=constants)
+    with _flags("--dwidth", "--p0"):
+        packet = wavepacket.gaussian_amplitudes(wavepacket.GaussianSpec(args.dwidth), center=args.p0, constants=constants)
+        charge = wavepacket.charge_current(packet, constants)
+        extra = {"neg_energy_fraction": wavepacket.negative_energy_fraction(packet)}
     times = np.linspace(0.0, args.tmax, args.tsteps)
-    charge = wavepacket.charge_current(packet, constants)
-    prob = wavepacket.probability_current(packet, times, constants)
+    with _flags("--dwidth", "--p0", "--tmax"):
+        prob = wavepacket.probability_current(packet, times, constants)
     columns = {"t": times.tolist(), "prob_current": prob.tolist(), "charge_current": [charge] * len(times)}
-    extra = {"neg_energy_fraction": wavepacket.negative_energy_fraction(packet)}
     _emit(args, constants, columns, extra_header=extra)
     return 0
 
 
-def _pair_solution_payload(sol: kinematics.PairSolution) -> dict:
-    return {
+def _cmd_kinematics(args, constants) -> int:
+    with _flags("--x"):
+        boost = kinematics.boost_from_beam_energy(args.x)
+    if args.mode == "invert":
+        if args.target is None:
+            raise ValueError("invert mode needs --target")
+        with _flags("--deps", "--x", "--target"):
+            roots = kinematics.solve_theta(boost, args.deps, args.branch, args.target, constants)
+        _emit(args, constants, {"theta_e_deg": [math.degrees(t) for t in roots]})
+        return 0
+    with _flags("--deps", "--x", "--theta"):
+        sol = kinematics.lab_pair_energy(boost, args.deps, math.radians(args.theta), args.branch, constants)
+    payload = {
         "branch": sol.branch,
         "theta_e_deg": math.degrees(sol.theta_e),
         "R": sol.r_parameter,
@@ -283,21 +289,6 @@ def _pair_solution_payload(sol: kinematics.PairSolution) -> dict:
         "delta_KE_keV": sol.delta_ke,
         "K_cm_keV": sol.k_cm,
     }
-
-
-def _cmd_kinematics(args, constants) -> int:
-    # gamma_e - 1 is at most twice deps/2m (R <= 1/2), and T_lab squares it
-    if not args.deps < _ROOT_MAX * constants.m / 2:
-        raise ValueError("--deps is too large: the pair's Lorentz factor overflows")
-    boost = kinematics.boost_from_beam_energy(args.x)
-    if args.mode == "invert":
-        if args.target is None:
-            raise ValueError("invert mode needs --target")
-        roots = kinematics.solve_theta(boost, args.deps, args.branch, args.target, constants)
-        _emit(args, constants, {"theta_e_deg": [math.degrees(t) for t in roots]})
-        return 0
-    sol = kinematics.lab_pair_energy(boost, args.deps, math.radians(args.theta), args.branch, constants)
-    payload = _pair_solution_payload(sol)
     _emit(args, constants, {name: [value] for name, value in payload.items()}, payload=payload)
     return 0
 
@@ -347,18 +338,17 @@ def _cmd_counting_time(args, constants) -> int:
 
     if args.xmin <= 0 or args.xmax <= args.xmin:
         raise ValueError("need 0 < xmin < xmax")
-    x_opt, tau_min = decaymodel.optimal_current(args.x0)
-    # relative pair yield at the optimum current (sigma0 = eta = 1 units); x0 >= 1 from here on
-    sigma_opt = decaymodel.pair_cross_section(x_opt, decaymodel.DecayParams(x0=args.x0))
-    # (x0 + x)^2 and tau = (x0 + x)^2 / x >= 1/x peak at the ends of the sweep
-    if not max((args.x0 + x) * max(1.0, 1.0 / math.sqrt(x)) for x in (args.xmin, args.xmax)) < _ROOT_MAX / 2:
-        raise ValueError("--x0, --xmin and --xmax put the counting time (x0 + x)^2/x beyond the float range")
+    with _flags("--x0"):
+        x_opt, tau_min = decaymodel.optimal_current(args.x0)
+        # relative pair yield at the optimum current (sigma0 = eta = 1 units)
+        sigma_opt = decaymodel.pair_cross_section(x_opt, decaymodel.DecayParams(x0=args.x0))
     xs = np.linspace(args.xmin, args.xmax, args.steps)
-    columns = {
-        "x": xs.tolist(),
-        "tau_baseline": decaymodel.counting_time(xs, args.x0, "baseline").tolist(),
-        "tau_metastable": decaymodel.counting_time(xs, args.x0, "metastable").tolist(),
-    }
+    with _flags("--x0", "--xmin", "--xmax"):
+        columns = {
+            "x": xs.tolist(),
+            "tau_baseline": decaymodel.counting_time(xs, args.x0, "baseline").tolist(),
+            "tau_metastable": decaymodel.counting_time(xs, args.x0, "metastable").tolist(),
+        }
     extra = {"optimal_x": x_opt, "tau_min": tau_min, "sigma_ep_rel_at_optimum": sigma_opt}
     _emit(args, constants, columns, extra_header=extra)
     return 0
@@ -369,21 +359,13 @@ def _cmd_lineshape(args, constants) -> int:
 
     from . import decaymodel
 
-    if args.tmax <= args.tmin:
-        raise ValueError("need tmin < tmax")
-    params = decaymodel.LineShapeParams(
-        density_scale=args.scale, delta_eps_shift=args.shift, bin_width=args.bin_width
-    )
-    # the edge cap bounds every density value; x = T_sum - deps + shift is
-    # monotone in T_sum, so its ends bound it over the whole grid
-    if not math.isfinite(2.0 * args.scale / math.sqrt(args.bin_width)):
-        raise ValueError("--scale and --bin-width put the edge cap 2*scale/sqrt(bin_width) beyond the float range")
-    if not math.isfinite(args.tmax - args.tmin):
-        raise ValueError("--tmin and --tmax are too far apart: tmax - tmin overflows")
-    if not all(math.isfinite(t - args.deps + args.shift) for t in (args.tmin, args.tmax)):
-        raise ValueError("--deps and --shift put T_sum - deps + shift beyond the float range at an end of the grid")
+    # the grid's own guard: np.linspace needs a positive, finite tmax - tmin
+    if not 0.0 < args.tmax - args.tmin < math.inf:
+        raise ValueError("--tmin, --tmax: need tmin < tmax and a finite tmax - tmin")
     ts = np.linspace(args.tmin, args.tmax, args.steps)
-    dens = decaymodel.threshold_lineshape(ts, args.deps, params)
+    with _flags("--deps", "--tmin", "--tmax", "--scale", "--shift", "--bin-width"):
+        params = decaymodel.LineShapeParams(density_scale=args.scale, delta_eps_shift=args.shift, bin_width=args.bin_width)
+        dens = decaymodel.threshold_lineshape(ts, args.deps, params)
     _emit(args, constants, {"T_sum_keV": ts.tolist(), "density": dens.tolist()})
     return 0
 

@@ -34,6 +34,28 @@ ROOT_TOLERANCE = 1e-9
 MAX_COUNT = 10**6
 
 
+def require_finite(name: str, value, positive: bool = False) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` (a number or a sequence) is finite.
+
+    With ``positive`` every number must also be > 0.  The one input check of
+    the package: dataclasses, packet construction and the CLI all call it, so
+    a nan or inf never reaches the numerics.  A Python ``int`` or ``float``
+    is checked with ``math``; anything else goes through numpy, imported
+    here so that importing the package does not load it.
+    """
+    if isinstance(value, (int, float)):
+        finite, pos = math.isfinite(value), value > 0.0
+    else:
+        import numpy as np
+
+        x = np.asarray(value, dtype=float)
+        finite, pos = bool(np.all(np.isfinite(x))), bool(np.all(x > 0.0))
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if positive and not pos:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+
+
 class Alternative(enum.Enum):
     """How a static potential enters the one-particle Dirac Hamiltonian.
 
@@ -66,12 +88,11 @@ class Constants:
     numeric_tolerance: float = 1e-12  # relative, for algebraic identities
 
     def __post_init__(self) -> None:
-        if self.electron_rest_energy <= 0.0:
-            raise ValueError("electron_rest_energy must be positive")
+        # named by their config keys, which every report header prints
+        require_finite("m_e_keV", self.electron_rest_energy, positive=True)
         if not 0.0 < self.fine_structure < 1.0:
-            raise ValueError("fine_structure must lie in (0, 1)")
-        if self.numeric_tolerance <= 0.0:
-            raise ValueError("numeric_tolerance must be positive")
+            raise ValueError(f"alpha0 must lie in (0, 1), got {self.fine_structure!r}")
+        require_finite("numeric_tolerance", self.numeric_tolerance, positive=True)
 
     @property
     def m(self) -> float:
@@ -91,15 +112,17 @@ def load_constants(path: str | Path) -> Constants:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError("constants config must be a JSON object")
-    known = {"m_e_keV", "alpha0", "numeric_tolerance"}
-    unknown = set(raw) - known
+    fields = {"m_e_keV": "electron_rest_energy", "alpha0": "fine_structure", "numeric_tolerance": "numeric_tolerance"}
+    unknown = set(raw) - set(fields)
     if unknown:
         raise ValueError(f"unknown constants config keys: {sorted(unknown)}")
-    return Constants(
-        electron_rest_energy=float(raw.get("m_e_keV", DEFAULT_CONSTANTS.electron_rest_energy)),
-        fine_structure=float(raw.get("alpha0", DEFAULT_CONSTANTS.fine_structure)),
-        numeric_tolerance=float(raw.get("numeric_tolerance", DEFAULT_CONSTANTS.numeric_tolerance)),
-    )
+    values = {}
+    for key, value in raw.items():
+        try:
+            values[fields[key]] = float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"constants config key {key} must be a number, got {value!r}") from None
+    return Constants(**values)
 
 
 def energy_of_momentum(p, constants: Constants = DEFAULT_CONSTANTS):
@@ -109,28 +132,6 @@ def energy_of_momentum(p, constants: Constants = DEFAULT_CONSTANTS):
     """
     m = constants.electron_rest_energy
     return (p * p + m * m) ** 0.5
-
-
-def require_finite(name: str, value, positive: bool = False) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` (a number or a sequence) is finite.
-
-    With ``positive`` every number must also be > 0.  The one input check of
-    the package: dataclasses, packet construction and the CLI all call it, so
-    a nan or inf never reaches the numerics.  A Python ``int`` or ``float``
-    is checked with ``math``; anything else goes through numpy, imported
-    here so that importing the package does not load it.
-    """
-    if isinstance(value, (int, float)):
-        finite, pos = math.isfinite(value), value > 0.0
-    else:
-        import numpy as np
-
-        x = np.asarray(value, dtype=float)
-        finite, pos = bool(np.all(np.isfinite(x))), bool(np.all(x > 0.0))
-    if not finite:
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    if positive and not pos:
-        raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 def bisect_root(f, a: float, b: float, xtol: float, fa: float | None = None, fb: float | None = None) -> float:

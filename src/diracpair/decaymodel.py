@@ -125,7 +125,8 @@ def threshold_lineshape(t_sum, delta_eps: float, params: LineShapeParams):
         raise ValueError("edge cap 2*scale/sqrt(bin_width) is beyond the float range")
     if not np.all(np.isfinite(x)):
         raise ValueError("x = T_sum - delta_eps + shift must be finite")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # an overflowing tail lies inside the first bin, where the cap replaces it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tail = params.density_scale / np.sqrt(np.where(x > 0.0, x, np.inf))
     out = np.where(x < 0.0, 0.0, np.where(x <= eps, cap, tail))
     if np.isscalar(t_sum):

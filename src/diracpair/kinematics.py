@@ -150,6 +150,8 @@ def lab_pair_energy(
     )
     e_cm = 2.0 * m * gamma_e
     p_cm = -2.0 * m * gb * math.cos(theta_e)
+    if not (math.isfinite(t_lab) and math.isfinite(e_cm) and math.isfinite(p_cm)):
+        raise ValueError("T_lab, E_cm or P_cm is beyond the float range")
     return PairSolution(
         branch=branch,
         theta_e=theta_e,

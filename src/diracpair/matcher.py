@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .core import Constants, DEFAULT_CONSTANTS
+from .core import Constants, DEFAULT_CONSTANTS, require_finite
 from .hydrogenic import DEFAULT_SHELL_PAIRS, IonSpecies, Shell, Transition, get_ion, pair_transition_energy
 from .kinematics import IonBoost, boost_from_beam_energy, lab_pair_energy, solve_theta
 
@@ -97,6 +97,17 @@ def _parse_record(raw: dict, index: int) -> ExperimentRecord:
     def fail(msg: str):
         raise ValueError(f"catalog entry {index}: {msg}")
 
+    def number(key: str, default=None, positive: bool = False, label: str | None = None):
+        value = raw.get(key, default)
+        if value is None:
+            return None
+        try:
+            x = float(value)
+            require_finite(key, x, positive)
+        except (TypeError, ValueError):
+            fail(f"{label or key} must be a finite{' positive' if positive else ''} number, got {value!r}")
+        return x
+
     try:
         beam_sym, target_sym = str(raw["system"]).split("+")
     except (KeyError, ValueError):
@@ -109,10 +120,9 @@ def _parse_record(raw: dict, index: int) -> ExperimentRecord:
     observable = raw.get("observable", "")
     if observable not in _OBSERVABLES:
         fail(f"observable must be one of {_OBSERVABLES}, got {observable!r}")
-    observed = float(raw.get("observed_keV", 0.0))
-    if observed <= 0.0:
-        fail(f"observed_keV must be positive, got {observed}")
-    unc = raw.get("uncertainty_keV")
+    flags = raw.get("flags", [])
+    if not isinstance(flags, list) or not all(isinstance(flag, str) for flag in flags):
+        fail(f"flags must be a list of strings, got {flags!r}")
     ion = upper = lower = None
     if "ion" in raw:
         try:
@@ -128,17 +138,17 @@ def _parse_record(raw: dict, index: int) -> ExperimentRecord:
         system=(beam, target),
         spectrometer=str(raw.get("spectrometer", "")),
         observable=observable,
-        observed=observed,
-        uncertainty=None if unc is None else float(unc),
-        beam_energy_x=float(raw.get("x_mev_per_u", 6.0)),
+        observed=number("observed_keV", 0.0, positive=True),
+        uncertainty=number("uncertainty_keV"),
+        beam_energy_x=number("x_mev_per_u", 6.0, positive=True, label="x_mev_per_u (the beam energy)"),
         flagged_marginal=bool(raw.get("marginal", False)),
         ion=ion,
         upper=upper,
         lower=lower,
         branch=branch,
-        published_theory_at_45=(None if raw.get("published_theory_at_45_keV") is None else float(raw["published_theory_at_45_keV"])),
-        published_theta_deg=(None if raw.get("published_theta_deg") is None else float(raw["published_theta_deg"])),
-        flags=tuple(raw.get("flags", ())),
+        published_theory_at_45=number("published_theory_at_45_keV"),
+        published_theta_deg=number("published_theta_deg"),
+        flags=tuple(flags),
         note=str(raw.get("note", "")),
     )
 

@@ -178,6 +178,7 @@ def _star_reduce(s):
     return s[0, 0], s[2, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow leaves a T or R that is not finite, raised below
 def _transmission(alt: Alternative, values, edges, e, constants: Constants) -> ScatterResult:
     """T, R and regime across the regions ``values`` at one energy or an array of them."""
     m = constants.m
@@ -257,6 +258,7 @@ def _well_k(e, depth: float, m: float):
     return np.sqrt(np.abs((e + depth + m) * (e + depth - m)))
 
 
+@np.errstate(over="ignore")  # an infinite k fails the scan-size check below
 def _split_by_phase(grid, depth: float, width: float, m: float):
     """Split each cell of an oscillating segment's scan ``grid`` evenly in k, to at most pi/2 of k*width.
 

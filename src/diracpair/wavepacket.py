@@ -86,6 +86,7 @@ def default_grid(d_width: float, constants: Constants = DEFAULT_CONSTANTS) -> np
     return np.linspace(-span, span, 4096)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow leaves a nan grid or loss or an infinite E_q, rejected below
 def gaussian_amplitudes(
     spec: GaussianSpec,
     grid: np.ndarray | None = None,
@@ -118,12 +119,12 @@ def gaussian_amplitudes(
     b = np.exp(-0.5 * (grid - center) ** 2 * spec.d_width**2).astype(complex)
     dstar = d_scale * b * grid / (e + m)
     density = np.abs(b) ** 2 + np.abs(dstar) ** 2
-    total = float(np.sum(density) * dp)
+    total = np.sum(density) * dp
     # Estimate of probability sitting outside the grid from the edge cells.
-    loss = float((density[0] + density[-1]) * dp) / total
-    # written to fail closed: a nan loss (an overflowing grid) is rejected too
-    if not loss <= 1e-6:
-        raise ValueError("grid too narrow or overflowing: estimated normalization loss exceeds 1e-6")
+    loss = (density[0] + density[-1]) * dp / total
+    # written to fail closed: a nan loss (overflow, or every amplitude underflowing) and an infinite E_q are rejected too
+    if not (loss <= 1e-6 and np.isfinite(e).all()):
+        raise ValueError("grid too narrow or overflowing: an E_q is not finite or the estimated normalization loss exceeds 1e-6")
     scale = 1.0 / math.sqrt(total)
     return Packet(p_grid=grid, b=b * scale, dstar=dstar * scale)
 

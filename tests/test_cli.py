@@ -259,6 +259,9 @@ def test_config_override_changes_header_and_values(tmp_path, capsys):
     assert value == pytest.approx(409.41845, abs=1e-4)
 
 
+# pytest captures warnings, so only the mark can see a numpy warning that a
+# real process would print to stderr before the error
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -293,6 +296,36 @@ def test_invalid_number_exits_2_with_message(capsys, argv, flag):
     assert code == 2
     assert out == ""
     assert flag in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+# each once exited 0 printing nan or inf, or exited 1
+@pytest.mark.parametrize(
+    "kind, entry, field",
+    [
+        ("catalog", {"observed_keV": "nan"}, "observed_keV"),
+        ("catalog", {"observed_keV": "1e999"}, "observed_keV"),
+        ("catalog", {"uncertainty_keV": []}, "uncertainty_keV"),
+        ("catalog", {"uncertainty_keV": {}}, "uncertainty_keV"),
+        ("catalog", {"flags": 5}, "flags"),
+        ("config", {"m_e_keV": [1]}, "m_e_keV"),
+        ("config", {"alpha0": None}, "alpha0"),
+        ("config", {"m_e_keV": "nan"}, "m_e_keV"),
+    ],
+)
+def test_bad_input_file_field_exits_2_naming_it(tmp_path, capsys, kind, entry, field):
+    path = tmp_path / f"{kind}.json"
+    if kind == "catalog":
+        (record,) = json.loads(Path(CATALOG_576).read_text())
+        path.write_text(json.dumps([{**record, **entry}]))
+        argv = ("match", "--catalog", str(path))
+    else:
+        path.write_text(json.dumps(entry))
+        argv = ("--config", str(path), "levels", "--ion", "Pb")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert field in err
 
 
 def test_count_at_the_ceiling_is_accepted(capsys):
@@ -583,6 +616,8 @@ _LOG_UNIFORM = st.one_of(
     st.just(0.0),
     st.builds(lambda sign, exponent: sign * 10.0**exponent, st.sampled_from((-1.0, 1.0)), st.floats(-300.0, 300.0)),
 )
+# every finite float, subnormals and the largest included, drawn both ways
+_ANY_FLOAT = st.one_of(_LOG_UNIFORM, st.floats(allow_nan=False, allow_infinity=False))
 
 
 # about one draw in twenty builds a packet; the rest exit 2 in a few ms
@@ -633,6 +668,30 @@ def test_lineshape_argv_exits_0_with_finite_output_or_2(deps, tmin, tmax, scale,
         "lineshape", f"--deps={deps!r}", f"--tmin={tmin!r}", f"--tmax={tmax!r}", f"--scale={scale!r}",
         f"--shift={shift!r}", f"--bin-width={bin_width!r}", f"--steps={steps}",
     )
+    code, out = _quiet_call(argv)
+    assert code in (0, 2), argv
+    if code == 0:
+        assert not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE), argv
+
+
+# solve mode needs a positive --x and --deps, invert mode a positive --target
+# too: about one draw in four exits 0
+@settings(max_examples=200, deadline=None)
+@given(
+    mode=st.sampled_from(("solve", "invert")), branch=st.sampled_from(("+", "-")), fmt=st.sampled_from(("csv", "json")),
+    deps=_ANY_FLOAT, x=_ANY_FLOAT, target=_ANY_FLOAT,
+)
+@example(mode="solve", branch="+", fmt="json", deps=818.8, x=6.0, target=0.0)
+@example(mode="invert", branch="+", fmt="csv", deps=818.835, x=6.0, target=576.0)
+# each once printed T_lab_keV = inf with exit 0: gamma_I deps overflows
+@example(mode="solve", branch="+", fmt="csv", deps=1e100, x=1e290, target=0.0)
+@example(mode="solve", branch="-", fmt="csv", deps=1e100, x=1e290, target=0.0)
+# the --deps overflow cases of test_invalid_number_exits_2_with_message
+@example(mode="solve", branch="+", fmt="csv", deps=1e300, x=6.0, target=0.0)
+@example(mode="invert", branch="-", fmt="csv", deps=1e300, x=6.0, target=576.0)
+def test_kinematics_argv_exits_0_with_finite_output_or_2(mode, branch, fmt, deps, x, target):
+    argv = ("kinematics", mode, f"--deps={deps!r}", f"--x={x!r}", f"--branch={branch}", f"--format={fmt}")
+    argv += (f"--target={target!r}",) if mode == "invert" else ()
     code, out = _quiet_call(argv)
     assert code in (0, 2), argv
     if code == 0:

@@ -60,6 +60,10 @@ def test_constants_validation():
         Constants(fine_structure=1.5)
     with pytest.raises(ValueError):
         Constants(numeric_tolerance=0.0)
+    for field in ("electron_rest_energy", "fine_structure", "numeric_tolerance"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Constants(**{field: bad})
 
 
 def test_load_constants(tmp_path):

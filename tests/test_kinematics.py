@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diracpair import kinematics as kin
-from diracpair.core import DEFAULT_CONSTANTS, bisect_root
+from diracpair.core import Constants, DEFAULT_CONSTANTS, bisect_root
 
 M = DEFAULT_CONSTANTS.electron_rest_energy
 BOOST6 = kin.boost_from_beam_energy(6.0)
@@ -204,6 +204,17 @@ def test_t_lab_increases_strictly_with_theta(x, deps, branch, a, b):
     t_lo = kin.lab_pair_energy(boost, deps, math.radians(lo), branch).t_lab
     t_hi = kin.lab_pair_energy(boost, deps, math.radians(hi), branch).t_lab
     assert t_lo < t_hi
+
+
+@pytest.mark.parametrize("branch", ["+", "-"])
+def test_lab_pair_energy_fails_closed_on_overflow(branch):
+    # gamma_I delta_eps overflows: T_lab was inf
+    with pytest.raises(ValueError, match="float range"):
+        kin.lab_pair_energy(kin.boost_from_beam_energy(1e290), 1e100, math.radians(45.0), branch)
+    # a huge electron mass: the terms in 2 m overflow
+    huge = Constants(electron_rest_energy=1e307)
+    with pytest.raises(ValueError, match="float range"):
+        kin.lab_pair_energy(BOOST6, 1e308, math.radians(45.0), branch, huge)
 
 
 def test_overflowing_delta_eps_rejected():

@@ -277,6 +277,16 @@ def test_overflowing_grid_rejected():
         wp.gaussian_amplitudes(wp.GaussianSpec(1e-200), wp.default_grid(1e-200))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d_width", [1e-155, 1e-160, 1e-200, 1e-320])
+def test_grid_too_wide_for_floats_rejected_without_warnings(d_width):
+    # E_q overflows on the whole grid; at 1e-160 every amplitude underflowed
+    # too and the loss estimate divided 0.0 by 0.0 (an internal error); at
+    # 1e-320 the span 8/d is itself inf
+    with pytest.raises(ValueError, match="overflowing|too narrow"):
+        wp.gaussian_amplitudes(wp.GaussianSpec(d_width))
+
+
 def test_nan_packet_rejected():
     pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1.0 / M))
     broken = wp.Packet(p_grid=pk.p_grid, b=np.where(pk.p_grid > 0.0, np.nan, pk.b), dstar=pk.dstar)
