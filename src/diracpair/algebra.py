@@ -26,6 +26,7 @@ __all__ = [
     "charge_current_identity",
     "clifford_residuals",
     "dirac_matrices_1d",
+    "energy_p",
     "find_conjugation_matrix",
     "free_hamiltonian",
     "interaction_hamiltonian",
@@ -43,6 +44,7 @@ _PAULI = (
 )
 _I2 = np.eye(2, dtype=complex)
 _I4 = np.eye(4, dtype=complex)
+_TINY = np.finfo(float).tiny
 
 
 def _block(a, b, c, d):
@@ -129,6 +131,21 @@ def _rel_residual(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) / scale
 
 
+def energy_p(p, constants: Constants = DEFAULT_CONSTANTS) -> float:
+    """E_p = sqrt(p.p + m^2) for a momentum 3-vector p (keV), without a numpy warning.
+
+    Raises ValueError naming m_e_keV when p.p + m^2 is not a finite normal
+    float: an E_p that overflows, or one that underflows and keeps too few
+    bits for the identities that divide by it.
+    """
+    m = constants.m
+    with np.errstate(over="ignore", under="ignore"):
+        e2 = float(p @ p + m * m)
+    if not _TINY <= e2 < np.inf:
+        raise ValueError(f"m_e_keV={m!r} gives p.p + m^2 = {e2!r}, which is not a finite normal float")
+    return float(np.sqrt(e2))
+
+
 def free_hamiltonian(m: DiracMatrices, p, constants: Constants = DEFAULT_CONSTANTS) -> np.ndarray:
     """H0(p) = alpha . p + beta m for a momentum 3-vector p (keV)."""
     p = np.asarray(p, dtype=float)
@@ -161,7 +178,7 @@ def _spinor(p, s, sign, constants):
         raise ValueError("spin index must be 1 or 2")
     p = np.asarray(p, dtype=float)
     m = constants.m
-    e = float(np.sqrt(p @ p + m * m))
+    e = energy_p(p, constants)
     chi = np.zeros(2, dtype=complex)
     chi[s - 1] = 1.0
     sp = sum(si * pi for si, pi in zip(_PAULI, p))
@@ -209,8 +226,7 @@ def casimir_projectors(p, constants: Constants = DEFAULT_CONSTANTS) -> tuple[np.
     """Energy projectors B+(p), B-(p) onto the +E_p and -E_p eigenspaces of H0."""
     mats = build_matrices()
     p = np.asarray(p, dtype=float)
-    m = constants.m
-    e = float(np.sqrt(p @ p + m * m))
+    e = energy_p(p, constants)
     h = free_hamiltonian(mats, p, constants)
     b_plus = 0.5 * (_I4 + h / e)
     b_minus = 0.5 * (_I4 - h / e)
@@ -234,8 +250,7 @@ def charge_current_identity(p, axis: int, constants: Constants = DEFAULT_CONSTAN
         raise ValueError("axis must be 0, 1, or 2")
     mats = build_matrices()
     p = np.asarray(p, dtype=float)
-    m = constants.m
-    e = float(np.sqrt(p @ p + m * m))
+    e = energy_p(p, constants)
     s = sign_energy(p, constants)
     ai = mats.alpha[axis]
     lhs = 0.5 * (s @ ai + ai @ s)

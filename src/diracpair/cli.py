@@ -145,6 +145,8 @@ def _cmd_algebra_check(args, constants) -> int:
 
     from . import algebra
 
+    # momenta are drawn in units of m, so m itself must give a normal E_0 first
+    algebra.energy_p(np.zeros(3), constants)
     rng = np.random.default_rng(args.seed)
     mats = algebra.build_matrices()
     worst: dict[str, float] = {}

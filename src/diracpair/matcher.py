@@ -134,11 +134,14 @@ def _parse_record(raw: dict, index: int) -> ExperimentRecord:
     branch = raw.get("branch")
     if branch is not None and branch not in ("+", "-"):
         fail(f"branch must be '+' or '-', got {branch!r}")
+    observed = number("observed_keV", 0.0, positive=True)
+    if observable == "positron_energy" and not math.isfinite(2.0 * observed):
+        fail(f"observed_keV of a positron peak is doubled, so must be at most half the float range, got {observed!r}")
     return ExperimentRecord(
         system=(beam, target),
         spectrometer=str(raw.get("spectrometer", "")),
         observable=observable,
-        observed=number("observed_keV", 0.0, positive=True),
+        observed=observed,
         uncertainty=number("uncertainty_keV"),
         beam_energy_x=number("x_mev_per_u", 6.0, positive=True, label="x_mev_per_u (the beam energy)"),
         flagged_marginal=bool(raw.get("marginal", False)),

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Alternative, Constants, DEFAULT_CONSTANTS, MAX_COUNT, ROOT_TOLERANCE, bisect_root, require_finite
+from .core import Alternative, Constants, DEFAULT_CONSTANTS, MAX_COUNT, ROOT_TOLERANCE, require_finite
 
 __all__ = [
     "CLASSICAL",
@@ -250,12 +250,7 @@ def barrier_transmission(
 # In the real form phi1' = -(E - V + m) phi2, phi2' = (E - V - m) phi1
 # (obtained from psi = (phi1, i phi2)) every piecewise-constant solution is
 # real, so the square-well level condition is a real-valued, sign-changing
-# function of E suitable for a scan + bisection.
-
-
-def _well_k(e, depth: float, m: float):
-    """Interior wavenumber k = sqrt|ab| of the well (its decay constant where ab < 0)."""
-    return np.sqrt(np.abs((e + depth + m) * (e + depth - m)))
+# function of E: a scan brackets every level and one batched bisection refines them.
 
 
 @np.errstate(over="ignore")  # an infinite k fails the scan-size check below
@@ -267,7 +262,7 @@ def _split_by_phase(grid, depth: float, width: float, m: float):
     the regime boundary, where a grid uniform in E would need far more
     points; cells already within pi/2 stay as they are.
     """
-    k = _well_k(grid, depth, m)
+    k = np.sqrt(np.abs((grid + depth + m) * (grid + depth - m)))
     if not 2.0 * width * k[-1] / np.pi + grid.size <= MAX_COUNT:
         raise ValueError(
             f"well too deep or too wide to scan: its phase k*width reaches {width * k[-1]:.3g}, "
@@ -297,7 +292,7 @@ def _well_secular(e, depth: float, width: float, m: float, oscillating: bool):
     """
     a = e + depth + m
     b = e + depth - m
-    k = _well_k(e, depth, m)
+    k = np.sqrt(np.abs(a * b))
     if oscillating:
         c, s = np.cos(k * width), np.sin(k * width) / k
     else:
@@ -318,11 +313,11 @@ def square_well_bound_states(
     one below zero and toward -m.  Under D2 a positive-energy state sees the
     same equation, but only roots with 0 < E < m exist on the positive branch
     (the mirror negatives follow by the spectrum symmetry), so the search
-    window shrinks accordingly.  Roots come from a scan of the closed-form
-    level condition plus bisection: 2000 points uniform in E per segment,
-    with every cell split where it spans more than pi/2 of the phase k*width,
-    and the window ends themselves.  A well whose scan would pass
-    ``MAX_COUNT`` points, or whose phase overflows, raises ValueError.
+    window shrinks accordingly.  A scan of the closed-form level condition
+    (2000 points uniform in E per segment, cells split to at most pi/2 of the
+    phase k*width, and the window ends) brackets the roots, and one bisection
+    over all of a segment's brackets takes ``core.bisect_root``'s steps on each.
+    A scan past ``MAX_COUNT`` points, or a phase that overflows, raises ValueError.
     """
     if depth < 0.0 or width <= 0.0:
         raise ValueError("need depth >= 0 and width > 0")
@@ -350,15 +345,17 @@ def square_well_bound_states(
         # level just inside a window end is bracketed by the end itself
         grid = np.concatenate(([lo] if seg_lo == lo else [], grid, [hi] if seg_hi == hi else []))
         vals = _well_secular(grid, depth, width, m, oscillating)
-        sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        for idx in sign_change:
-            root = bisect_root(
-                lambda x: float(_well_secular(x, depth, width, m, oscillating)),
-                float(grid[idx]),
-                float(grid[idx + 1]),
-                xtol,
-                fa=float(vals[idx]),
-                fb=float(vals[idx + 1]),
-            )
-            roots.append(root)
+        cell = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+        # core.bisect_root's steps on all brackets at once (fm = 1 before the first); a bracket leaves when it stops
+        a, b, rising = grid[cell], grid[cell + 1], vals[cell] > 0.0
+        mid = fm = np.ones(a.size)
+        while a.size:
+            live = (b - a > xtol) & (fm != 0.0)
+            if not live.all():
+                roots += np.where(fm == 0.0, mid, 0.5 * (a + b))[~live].tolist()
+                a, b, rising = a[live], b[live], rising[live]
+            mid = 0.5 * (a + b)
+            fm = _well_secular(mid, depth, width, m, oscillating)
+            same = (fm > 0.0) == rising
+            a, b = np.where(same, mid, a), np.where(same, b, mid)
     return sorted(roots)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from diracpair import algebra
-from diracpair.core import DEFAULT_CONSTANTS
+from diracpair.core import Constants, DEFAULT_CONSTANTS
 
 M = DEFAULT_CONSTANTS.electron_rest_energy
 TOL = 1e-12
@@ -233,3 +233,12 @@ def test_1d_spinors():
         assert np.max(np.abs(h @ u - e * u)) / e < TOL
         assert np.max(np.abs(h @ v + e * v)) / e < TOL
         assert abs(np.vdot(u, v)) < TOL
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_energy_p_fails_closed_outside_the_normal_float_range():
+    for p in random_momenta(5):
+        assert algebra.energy_p(p) == float(np.sqrt(p @ p + M * M))
+    for m, p in ((1e300, np.zeros(3)), (1e-160, np.zeros(3)), (1.0, np.full(3, 1e200)), (1.0, np.full(3, 1e308))):
+        with pytest.raises(ValueError, match="m_e_keV"):
+            algebra.energy_p(p, Constants(electron_rest_energy=m))

@@ -311,6 +311,8 @@ def test_invalid_number_exits_2_with_message(capsys, argv, flag):
         ("config", {"m_e_keV": [1]}, "m_e_keV"),
         ("config", {"alpha0": None}, "alpha0"),
         ("config", {"m_e_keV": "nan"}, "m_e_keV"),
+        # a positron peak is doubled; this one printed residual_keV -inf
+        ("catalog", {"observable": "positron_energy", "observed_keV": 1e308}, "observed_keV"),
     ],
 )
 def test_bad_input_file_field_exits_2_naming_it(tmp_path, capsys, kind, entry, field):
@@ -326,6 +328,18 @@ def test_bad_input_file_field_exits_2_naming_it(tmp_path, capsys, kind, entry, f
     assert code == 2
     assert out == ""
     assert field in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [-308, -160, 156, 300, 308])
+def test_algebra_check_rejects_a_mass_whose_energy_leaves_the_float_range(tmp_path, capsys, k):
+    # p.p + m^2 overflows or underflows: each exited 0 or 1, most after numpy warnings
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps({"m_e_keV": 10.0**k}))
+    code, out, err = run_cli(capsys, "--config", str(path), "algebra-check", "--n-random", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: m_e_keV") and err.count("\n") == 1, err
 
 
 def test_count_at_the_ceiling_is_accepted(capsys):

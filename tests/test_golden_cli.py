@@ -12,7 +12,9 @@ the JSON forms of the README `lineshape` and `scatter` step examples joined
 `exact`, that of the README `zbw` example joined `zbw` (its currents come
 from a BLAS product whose last bits depend on the thread count), and `ulp`
 took `counting-time --format json`, whose full-precision floats are
-compared within one ulp.
+compared within one ulp.  Before the square-well levels were refined by one
+batched bisection, a D1 well of 4,527 levels and a D2 well of 359 levels,
+the latter in JSON at full precision, joined `exact`.
 
     PYTHONPATH=src python tests/test_golden_cli.py scatter   # rewrites tests/data/golden_scatter.json
     PYTHONPATH=src python tests/test_golden_cli.py zbw       # rewrites tests/data/golden_zbw.json
@@ -96,6 +98,9 @@ EXACT_CASES = (
     # match on a catalog that ships with the tests
     ("match", "--catalog", CATALOG_ARG, "--top-k", "3"),
     ("match", "--catalog", CATALOG_ARG, "--top-k", "3", "--format", "json"),
+    # square wells with hundreds to thousands of levels, one at full precision
+    ("scatter", "--alt", "d1", "--well-depth", "1000", "--well-width", "10"),
+    ("scatter", "--alt", "d2", "--well-depth", "1000", "--well-width", "2", "--format", "json"),
 )
 
 ALGEBRA_CASES = (

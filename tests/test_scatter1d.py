@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diracpair import scatter1d as sc
-from diracpair.core import Alternative, DEFAULT_CONSTANTS
+from diracpair.core import Alternative, DEFAULT_CONSTANTS, ROOT_TOLERANCE, bisect_root
 
 M = DEFAULT_CONSTANTS.electron_rest_energy
 D1, D2 = Alternative.D1, Alternative.D2
@@ -333,6 +333,61 @@ def test_wide_well_scan_brackets_every_level():
     brackets = np.nonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0.0)[0]
     assert len(brackets) == 4527
     assert np.array_equal(np.searchsorted(grid, levels) - 1, brackets)
+    # the batched bisection closed each bracket to the root tolerance
+    xtol = ROOT_TOLERANCE * M
+    assert (np.sign(secular(levels - xtol)) * np.sign(secular(levels + xtol)) < 0.0).all()
+
+
+def _levels_and_scans(monkeypatch, alt, depth, width, secular):
+    """Levels of the well with ``secular`` as its level condition, and every scan grid it evaluated."""
+    scans = []
+
+    def spy(e, *args):
+        if e.size >= 2000:  # the scan of a segment; no batch of these wells has that many brackets
+            scans.append((e, args))
+        return secular(e, *args)
+
+    monkeypatch.setattr(sc, "_well_secular", spy)
+    return sc.square_well_bound_states(alt, depth, width), scans
+
+
+def _bisect_root_levels(scans, secular):
+    """Oracle: core.bisect_root on every sign change of every scan, one bracket at a time."""
+    xtol, levels = ROOT_TOLERANCE * M, []
+    for grid, args in scans:
+        f = secular(grid, *args)
+        for i in np.nonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0)[0]:
+            g = lambda x: float(secular(np.array([x]), *args)[0])
+            levels.append(bisect_root(g, float(grid[i]), float(grid[i + 1]), xtol, fa=float(f[i]), fb=float(f[i + 1])))
+    return sorted(levels)
+
+
+@pytest.mark.parametrize(
+    ("alt", "depth", "width"),
+    [
+        (D1, 766.5, 0.0039),  # the README well
+        (D2, 400.0, 0.035),
+        (D2, 1000.0, 10.0),  # 1,791 levels from a scan split by phase
+        (D1, 3500.0, 0.004),  # D1 levels below zero
+        (D1, 0.001, 10.0),  # both brackets start narrower than the tolerance: no step at all
+    ],
+)
+def test_levels_are_bisect_root_on_the_scan_brackets_bit_for_bit(monkeypatch, alt, depth, width):
+    # one bisection batched over all brackets must take core.bisect_root's steps
+    secular = sc._well_secular
+    levels, scans = _levels_and_scans(monkeypatch, alt, depth, width, secular)
+    assert levels
+    assert levels == _bisect_root_levels(scans, secular)
+
+
+def test_batched_bisection_stops_on_an_exact_zero(monkeypatch):
+    # a linear level condition whose root is the midpoint of a scan cell: the
+    # first step lands on it, as core.bisect_root's does
+    _, ((grid, _),) = _levels_and_scans(monkeypatch, D2, 1000.0, 1e-3, sc._well_secular)
+    root = 0.5 * (grid[700] + grid[701])
+    line = lambda e, *args: e - root
+    levels, scans = _levels_and_scans(monkeypatch, D2, 1000.0, 1e-3, line)
+    assert levels == [root] == _bisect_root_levels(scans, line)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
