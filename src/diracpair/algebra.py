@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Constants, DEFAULT_CONSTANTS
+from .core import Constants, DEFAULT_CONSTANTS, energy_of_momentum
 
 __all__ = [
-    "ConjugationMatrix",
     "DiracMatrices",
     "FieldConfig",
     "appendix_identities",
@@ -45,6 +44,7 @@ _PAULI = (
 _I2 = np.eye(2, dtype=complex)
 _I4 = np.eye(4, dtype=complex)
 _TINY = np.finfo(float).tiny
+_E_CHARGE = -1.0  # the electron's charge e, in units of the elementary charge
 
 
 def _block(a, b, c, d):
@@ -60,26 +60,11 @@ class DiracMatrices:
 
 
 @dataclass(frozen=True)
-class ConjugationMatrix:
-    """Unitary C with C alpha* C^-1 = alpha and C beta* C^-1 = -beta."""
-
-    C: np.ndarray
-
-
-@dataclass(frozen=True)
 class FieldConfig:
-    """Constant external fields: vector potential A (keV) and scalar Phi (keV).
-
-    The electron charge is carried as a signed coupling, e < 0.
-    """
+    """Constant external fields: vector potential A (keV) and scalar Phi (keV), seen by a charge e = -1."""
 
     A: tuple[float, float, float] = (0.0, 0.0, 0.0)
     Phi: float = 0.0
-    e_charge: float = -1.0
-
-    def __post_init__(self) -> None:
-        if self.e_charge >= 0.0:
-            raise ValueError("e_charge must be negative (electron convention)")
 
 
 def build_matrices() -> DiracMatrices:
@@ -157,9 +142,9 @@ def free_hamiltonian(m: DiracMatrices, p, constants: Constants = DEFAULT_CONSTAN
 
 def interaction_hamiltonian(m: DiracMatrices, fields: FieldConfig) -> np.ndarray:
     """H1 = -e alpha . A + e Phi for constant external fields."""
-    h = fields.e_charge * fields.Phi * _I4
+    h = _E_CHARGE * fields.Phi * _I4
     for ai, Ai in zip(m.alpha, fields.A):
-        h = h - fields.e_charge * Ai * ai
+        h = h - _E_CHARGE * Ai * ai
     return h
 
 
@@ -190,8 +175,8 @@ def _spinor(p, s, sign, constants):
     return out / np.linalg.norm(out)
 
 
-def find_conjugation_matrix(m: DiracMatrices, constants: Constants = DEFAULT_CONSTANTS) -> ConjugationMatrix:
-    """Solve C alpha_i* C^-1 = alpha_i, C beta* C^-1 = -beta as a joint linear system.
+def find_conjugation_matrix(m: DiracMatrices, constants: Constants = DEFAULT_CONSTANTS) -> np.ndarray:
+    """The unitary C with C alpha_i* C^-1 = alpha_i and C beta* C^-1 = -beta, solved as a joint linear system.
 
     The four similarity constraints are assembled as a 64x16 linear map acting
     on vec(C); the solution space must be one-dimensional (anything else
@@ -218,25 +203,20 @@ def find_conjugation_matrix(m: DiracMatrices, constants: Constants = DEFAULT_CON
     # Canonical phase: largest-magnitude entry real positive.
     idx = np.unravel_index(np.argmax(np.abs(c)), c.shape)
     phase = c[idx] / abs(c[idx])
-    c = c / phase
-    return ConjugationMatrix(C=c)
-
-
-def casimir_projectors(p, constants: Constants = DEFAULT_CONSTANTS) -> tuple[np.ndarray, np.ndarray]:
-    """Energy projectors B+(p), B-(p) onto the +E_p and -E_p eigenspaces of H0."""
-    mats = build_matrices()
-    p = np.asarray(p, dtype=float)
-    e = energy_p(p, constants)
-    h = free_hamiltonian(mats, p, constants)
-    b_plus = 0.5 * (_I4 + h / e)
-    b_minus = 0.5 * (_I4 - h / e)
-    return b_plus, b_minus
+    return c / phase
 
 
 def sign_energy(p, constants: Constants = DEFAULT_CONSTANTS) -> np.ndarray:
-    """sgn(E)(p) = B+(p) - B-(p) = (alpha . p + beta m) / E_p."""
-    b_plus, b_minus = casimir_projectors(p, constants)
-    return b_plus - b_minus
+    """sgn(E)(p) = H0(p) / E_p = (alpha . p + beta m) / E_p."""
+    p = np.asarray(p, dtype=float)
+    e = energy_p(p, constants)
+    return free_hamiltonian(build_matrices(), p, constants) / e
+
+
+def casimir_projectors(p, constants: Constants = DEFAULT_CONSTANTS) -> tuple[np.ndarray, np.ndarray]:
+    """Energy projectors B+-(p) = (1 +- sgn(E)(p)) / 2 onto the +E_p and -E_p eigenspaces of H0."""
+    s = sign_energy(p, constants)
+    return 0.5 * (_I4 + s), 0.5 * (_I4 - s)
 
 
 def charge_current_identity(p, axis: int, constants: Constants = DEFAULT_CONSTANTS) -> float:
@@ -295,7 +275,7 @@ def transformation_checks(
     if fields is None:
         fields = FieldConfig()
     mats = build_matrices()
-    c = find_conjugation_matrix(mats, constants).C
+    c = find_conjugation_matrix(mats, constants)
     par = mats.beta
     tau = 1.0j * c
 
@@ -306,7 +286,7 @@ def transformation_checks(
     sgn_flip = sign_energy(-p, constants)
     h1 = interaction_hamiltonian(mats, fields)
     h1_parity = interaction_hamiltonian(
-        mats, FieldConfig(A=tuple(-a for a in fields.A), Phi=fields.Phi, e_charge=fields.e_charge)
+        mats, FieldConfig(A=tuple(-a for a in fields.A), Phi=fields.Phi)
     )
 
     out: dict[str, float] = {}
@@ -345,10 +325,9 @@ def appendix_identities(
         fields = FieldConfig()
     mats = build_matrices()
     p = np.asarray(p, dtype=float)
-    e = fields.e_charge
-    kin = p - e * np.asarray(fields.A, dtype=float)  # kinetic momentum p - eA
+    kin = p - _E_CHARGE * np.asarray(fields.A, dtype=float)  # kinetic momentum p - eA
     h_kin = free_hamiltonian(mats, kin, constants)
-    h = h_kin + e * fields.Phi * _I4
+    h = h_kin + _E_CHARGE * fields.Phi * _I4
 
     worst_a3 = 0.0
     for i, ai in enumerate(mats.alpha):
@@ -378,7 +357,7 @@ def dirac_matrices_1d() -> tuple[np.ndarray, np.ndarray]:
 def spinor_u_1d(p: float, constants: Constants = DEFAULT_CONSTANTS) -> np.ndarray:
     """Unit-normalized +E eigenspinor of sigma_x p + sigma_z m."""
     m = constants.m
-    e = (p * p + m * m) ** 0.5
+    e = energy_of_momentum(p, constants)
     out = np.array([1.0, p / (e + m)], dtype=complex)
     return out / np.linalg.norm(out)
 
@@ -386,6 +365,6 @@ def spinor_u_1d(p: float, constants: Constants = DEFAULT_CONSTANTS) -> np.ndarra
 def spinor_v_1d(p: float, constants: Constants = DEFAULT_CONSTANTS) -> np.ndarray:
     """Unit-normalized -E eigenspinor of sigma_x p + sigma_z m."""
     m = constants.m
-    e = (p * p + m * m) ** 0.5
+    e = energy_of_momentum(p, constants)
     out = np.array([-p / (e + m), 1.0], dtype=complex)
     return out / np.linalg.norm(out)

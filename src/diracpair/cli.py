@@ -156,14 +156,14 @@ def _cmd_algebra_check(args, constants) -> int:
 
     for name, value in algebra.clifford_residuals(mats.alpha, mats.beta).items():
         keep(f"clifford_{name}", value)
-    conj = algebra.find_conjugation_matrix(mats, constants)
-    keep("conjugation_unitarity", np.max(np.abs(conj.C @ conj.C.conj().T - np.eye(4))))
+    c = algebra.find_conjugation_matrix(mats, constants)
+    keep("conjugation_unitarity", np.max(np.abs(c @ c.conj().T - np.eye(4))))
     spin_rng = np.random.default_rng(args.seed + 1)
     for _ in range(min(args.n_random, 20)):
         p = spin_rng.uniform(-4.0, 4.0, size=3) * constants.m
         b_plus, _ = algebra.casimir_projectors(p, constants)
         for s in (1, 2):
-            mapped = conj.C @ algebra.spinor_v(-p, s, constants).conj()
+            mapped = c @ algebra.spinor_v(-p, s, constants).conj()
             # the conjugated spinor must live entirely in the +E subspace
             keep("conjugation_spinor_map", np.max(np.abs(b_plus @ mapped - mapped)))
     for _ in range(args.n_random):
@@ -319,13 +319,8 @@ def _cmd_match(args, constants) -> int:
 
 def _cmd_reproduce_tables(args, constants) -> int:
     reports = matcher.reproduce_tables(constants)
-    columns = (
-        "table", "system", "spectrometer", "observed_keV", "transition", "branch",
-        "published_theory_keV", "computed_theory_keV", "published_theta_deg", "computed_theta_deg",
-        "theory_ok", "theta_ok", "marginal", "flags",
-    )
     rows = [rep.as_row() for rep in reports]
-    _emit(args, constants, {c: [row[c] for row in rows] for c in columns})
+    _emit(args, constants, {c: [row[c] for row in rows] for c in rows[0]})
     headline = [r for r in reports if r.theory_headline] + [r for r in reports if r.theta_headline]
     ok = all(r.theory_ok for r in reports if r.theory_headline) and all(
         r.theta_ok for r in reports if r.theta_headline

@@ -25,7 +25,7 @@ __all__ = [
     "require_finite",
 ]
 
-# Convergence target for every bracketed bisection solve in the package.
+# Convergence target, relative to m, of the square-well level bisection.
 ROOT_TOLERANCE = 1e-9
 
 # Largest count a flag (steps, top-k, n-random) accepts and largest scan a

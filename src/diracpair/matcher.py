@@ -99,7 +99,7 @@ def _parse_record(raw: dict, index: int) -> ExperimentRecord:
 
     def number(key: str, default=None, positive: bool = False, label: str | None = None):
         value = raw.get(key, default)
-        if value is None:
+        if value is None and default is None:  # an optional field, absent or null
             return None
         try:
             x = float(value)

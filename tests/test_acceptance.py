@@ -164,11 +164,11 @@ def test_criterion_07_algebra_identities():
     mats = algebra.build_matrices()
     worst = max(algebra.clifford_residuals(mats.alpha, mats.beta).values())
     conj = algebra.find_conjugation_matrix(mats)
-    cinv = np.linalg.inv(conj.C)
-    worst = max(worst, float(np.max(np.abs(conj.C @ conj.C.conj().T - np.eye(4)))))
+    cinv = np.linalg.inv(conj)
+    worst = max(worst, float(np.max(np.abs(conj @ conj.conj().T - np.eye(4)))))
     for a in mats.alpha:
-        worst = max(worst, float(np.max(np.abs(conj.C @ a.conj() @ cinv - a))))
-    worst = max(worst, float(np.max(np.abs(conj.C @ mats.beta.conj() @ cinv + mats.beta))))
+        worst = max(worst, float(np.max(np.abs(conj @ a.conj() @ cinv - a))))
+    worst = max(worst, float(np.max(np.abs(conj @ mats.beta.conj() @ cinv + mats.beta))))
     for _ in range(100):
         p = rng.uniform(-4.0, 4.0, size=3) * M
         fields = algebra.FieldConfig(

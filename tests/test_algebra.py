@@ -48,7 +48,7 @@ def test_conjugation_solve_rejects_bad_representation(mats):
 
 
 def test_conjugation_matrix_satisfies_constraints(mats, conj):
-    c = conj.C
+    c = conj
     cinv = np.linalg.inv(c)
     assert np.max(np.abs(c @ c.conj().T - I4)) < TOL
     for a in mats.alpha:
@@ -59,13 +59,13 @@ def test_conjugation_matrix_satisfies_constraints(mats, conj):
 def test_conjugation_phase_is_canonical(mats, conj):
     # any rescaled solution also satisfies the constraints; normalization must
     # bring it back to the same canonical matrix
-    scaled = algebra.ConjugationMatrix(C=conj.C * (0.3 - 0.4j))
-    c2 = scaled.C / np.sqrt(np.abs((scaled.C @ scaled.C.conj().T)[0, 0]))
+    scaled = conj * (0.3 - 0.4j)
+    c2 = scaled / np.sqrt(np.abs((scaled @ scaled.conj().T)[0, 0]))
     idx = np.unravel_index(np.argmax(np.abs(c2)), c2.shape)
     c2 = c2 / (c2[idx] / abs(c2[idx]))
-    assert np.max(np.abs(c2 - conj.C)) < TOL
-    idx = np.unravel_index(np.argmax(np.abs(conj.C)), conj.C.shape)
-    assert abs(conj.C[idx].imag) < TOL and conj.C[idx].real > 0.0
+    assert np.max(np.abs(c2 - conj)) < TOL
+    idx = np.unravel_index(np.argmax(np.abs(conj)), conj.shape)
+    assert abs(conj[idx].imag) < TOL and conj[idx].real > 0.0
 
 
 def test_spinors_are_eigenvectors(mats):
@@ -86,7 +86,7 @@ def test_conjugation_maps_v_to_u(mats, conj):
     # global phase, at every test momentum
     for p in random_momenta(25, seed=2):
         for s in (1, 2):
-            mapped = conj.C @ algebra.spinor_v(-p, s).conj()
+            mapped = conj @ algebra.spinor_v(-p, s).conj()
             overlaps = [abs(np.vdot(algebra.spinor_u(p, t), mapped)) for t in (1, 2)]
             assert max(overlaps) == pytest.approx(1.0, abs=1e-12)
             assert min(overlaps) == pytest.approx(0.0, abs=1e-12)
@@ -96,7 +96,7 @@ def test_conjugation_involution(mats, conj):
     # applying the map twice returns the original spinor up to phase (here exactly)
     p = np.array([0.6, -1.1, 0.4]) * M
     v = algebra.spinor_v(p, 2)
-    twice = conj.C @ (conj.C @ v.conj()).conj()
+    twice = conj @ (conj @ v.conj()).conj()
     phase = np.vdot(v, twice)
     assert abs(abs(phase) - 1.0) < TOL
     assert np.max(np.abs(twice - phase * v)) < TOL
@@ -192,8 +192,8 @@ def test_d1_breakdown_is_exact_sign_flip(mats, conj):
     h0 = algebra.free_hamiltonian(mats, p)
     h0f = algebra.free_hamiltonian(mats, -p)
     h1 = algebra.interaction_hamiltonian(mats, fields)
-    cinv = np.linalg.inv(conj.C)
-    lhs = conj.C @ (h0 + h1).conj() @ cinv
+    cinv = np.linalg.inv(conj)
+    lhs = conj @ (h0 + h1).conj() @ cinv
     assert np.max(np.abs(lhs + (h0f - h1))) / (1.0 + np.max(np.abs(h0f))) < TOL
     defect = lhs + (h0f + h1)
     assert np.max(np.abs(defect - 2.0 * h1)) / (1.0 + np.max(np.abs(h1))) < TOL
@@ -210,11 +210,6 @@ def test_appendix_identities_random():
         res = algebra.appendix_identities(p, fields)
         worst = max(worst, max(res.values()))
     assert worst < TOL
-
-
-def test_field_config_requires_negative_charge():
-    with pytest.raises(ValueError):
-        algebra.FieldConfig(e_charge=1.0)
 
 
 def test_spin_matrices_properties():

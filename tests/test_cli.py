@@ -313,6 +313,9 @@ def test_invalid_number_exits_2_with_message(capsys, argv, flag):
         ("config", {"m_e_keV": "nan"}, "m_e_keV"),
         # a positron peak is doubled; this one printed residual_keV -inf
         ("catalog", {"observable": "positron_energy", "observed_keV": 1e308}, "observed_keV"),
+        # a null took the place of the default: exit 1, and exit 2 naming only the beam energy
+        ("catalog", {"observed_keV": None}, "observed_keV"),
+        ("catalog", {"x_mev_per_u": None}, "x_mev_per_u"),
     ],
 )
 def test_bad_input_file_field_exits_2_naming_it(tmp_path, capsys, kind, entry, field):
@@ -340,6 +343,20 @@ def test_algebra_check_rejects_a_mass_whose_energy_leaves_the_float_range(tmp_pa
     assert code == 2
     assert out == ""
     assert err.startswith("error: m_e_keV") and err.count("\n") == 1, err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alt", ["d1", "d2"])
+@pytest.mark.parametrize("m", [1e-320, 1e-160, 1.4e154, 1e300])
+def test_square_well_rejects_a_mass_whose_square_is_not_a_normal_float(tmp_path, capsys, m, alt):
+    # m^2 overflows, underflows to 0, or is subnormal: each exited 0, with no
+    # levels after numpy warnings or with levels from a mass short of bits
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps({"m_e_keV": m}))
+    code, out, err = run_cli(capsys, "--config", str(path), "scatter", f"--alt={alt}", "--well-depth=766.5", "--well-width=0.0039")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "m_e_keV" in err and err.count("\n") == 1, err
 
 
 def test_count_at_the_ceiling_is_accepted(capsys):
@@ -740,3 +757,73 @@ def test_scatter_argv_exits_0_with_finite_output_or_2(mode, alt, fmt, v0, width,
     assert code in (0, 2), argv
     if code == 0:
         assert not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE), argv
+
+
+# --- whole-domain input-file properties ---------------------------------------------
+#
+# Every catalog entry and every config object ends in exit 0 with finite
+# output, or in exit 2 with a message.  Each is a valid object whose drawn
+# fields take a JSON value of any kind.
+
+_JSON_VALUE = st.one_of(
+    # positive numbers, the one kind of value that can pass, get a branch of their own
+    st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent),
+    _LOG_UNIFORM,
+    st.sampled_from(("nan", "1e999", None, True)),
+    st.lists(_LOG_UNIFORM, max_size=2),
+    st.dictionaries(st.just("x"), _LOG_UNIFORM, max_size=1),
+)
+
+
+def _overrides(*keys):
+    """Some of ``keys``, each with a JSON value."""
+    return st.dictionaries(st.sampled_from(keys), _JSON_VALUE)
+
+
+def _assert_finite_or_2(argv):
+    code, out = _quiet_call(argv)
+    assert code in (0, 2), argv
+    if code == 0:
+        assert not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE), argv
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("inputs")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(
+    observable=st.sampled_from(("pair_sum_kinetic", "positron_energy")),
+    fields=_overrides("observed_keV", "uncertainty_keV", "x_mev_per_u", "published_theory_at_45_keV", "published_theta_deg"),
+)
+@example(observable="pair_sum_kinetic", fields={})
+# the nulls of test_bad_input_file_field_exits_2_naming_it
+@example(observable="pair_sum_kinetic", fields={"observed_keV": None})
+@example(observable="positron_energy", fields={"x_mev_per_u": None})
+def test_catalog_entry_exits_0_with_finite_output_or_2(input_dir, observable, fields):
+    (record,) = json.loads(Path(CATALOG_576).read_text())
+    path = input_dir / "catalog.json"
+    path.write_text(json.dumps([{**record, "observable": observable, **fields}]))
+    _assert_finite_or_2(("match", "--catalog", str(path), "--top-k", "2"))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(config=_overrides("m_e_keV", "alpha0", "numeric_tolerance"), alt=st.sampled_from(("d1", "d2")))
+@example(config={}, alt="d1")
+# the masses of test_square_well_rejects_a_mass_whose_square_is_not_a_normal_float
+@example(config={"m_e_keV": 1e-320}, alt="d1")
+@example(config={"m_e_keV": 1e-160}, alt="d2")
+@example(config={"m_e_keV": 1.4e154}, alt="d1")
+@example(config={"m_e_keV": 1e300}, alt="d2")
+def test_config_exits_0_with_finite_output_or_2(input_dir, config, alt):
+    path = input_dir / "constants.json"
+    path.write_text(json.dumps(config))
+    for argv in (
+        ("levels", "--ion", "Pb"),
+        ("kinematics", "invert", "--deps", "818.835", "--branch", "+", "--target", "576"),
+        ("scatter", f"--alt={alt}", "--well-depth=766.5", "--well-width=0.0039"),
+    ):
+        _assert_finite_or_2(("--config", str(path), *argv))
