@@ -4,10 +4,11 @@ Every run prints the constants in effect in the report header.  Floating
 output is rendered with 10 significant digits, all energies on the wire are
 keV, and identical invocations produce byte-identical output.
 
-Only the pure-``math`` modules are imported here.  numpy and the modules
-built on it load inside the handlers that use them, so the subcommands that
-never touch numpy (``levels``, ``transitions``, ``kinematics``, ``match``,
-``reproduce-tables``) do not pay for its import.
+Each handler imports what it runs: the package modules it calls, and numpy
+where it needs it, load when the handler starts, and ``json`` loads only to
+write JSON.  So a subcommand pays for no module that it never calls, and the
+five that never touch numpy (``levels``, ``transitions``, ``kinematics``,
+``match``, ``reproduce-tables``) do not pay for its import.
 """
 
 from __future__ import annotations
@@ -15,13 +16,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
-from . import hydrogenic, kinematics, matcher
 from .core import Alternative, DEFAULT_CONSTANTS, MAX_COUNT, load_constants, require_finite
 
 __all__ = ["main"]
@@ -44,6 +42,9 @@ def _csv_cell(col):
 
 
 def _json_cell(col):
+    import json
+    from json.encoder import encode_basestring_ascii
+
     types = set(map(type, col))
     # a sum of floats is finite only if every cell is; a sum that overflows
     # merely sends a finite column down the per-cell path
@@ -102,6 +103,8 @@ def _emit(args, constants, columns, payload=None, extra_header=None) -> None:
     }
     names, cols = list(columns), list(columns.values())
     if args.format == "json":
+        import json
+
         doc = {"constants": header}
         if extra_header:
             doc["derived"] = dict(extra_header)
@@ -193,6 +196,8 @@ def _cmd_scatter(args, constants) -> int:
         # bound-state mode: levels of the attractive square well
         if args.well_width is None:
             raise ValueError("--well-depth needs --well-width")
+        # the config's mass, not a flag, is at fault if m^2 is not a normal float
+        scatter1d.require_normal_mass_square(constants)
         with _flags("--well-depth", "--well-width"):
             levels = scatter1d.square_well_bound_states(alt, args.well_depth, args.well_width, constants)
         _emit(args, constants, {"level": list(range(len(levels))), "E_keV": list(levels)})
@@ -220,6 +225,8 @@ def _cmd_scatter(args, constants) -> int:
 
 
 def _cmd_levels(args, constants) -> int:
+    from . import hydrogenic
+
     ion = hydrogenic.get_ion(args.ion)
     labels = [s.strip() for s in args.shells.split(",") if s.strip()]
     if not labels:
@@ -239,6 +246,8 @@ def _cmd_levels(args, constants) -> int:
 
 
 def _cmd_transitions(args, constants) -> int:
+    from . import hydrogenic
+
     ion = hydrogenic.get_ion(args.ion)
     table = hydrogenic.transition_table(ion, constants=constants)
     columns = {
@@ -269,6 +278,8 @@ def _cmd_zbw(args, constants) -> int:
 
 
 def _cmd_kinematics(args, constants) -> int:
+    from . import kinematics
+
     with _flags("--x"):
         boost = kinematics.boost_from_beam_energy(args.x)
     if args.mode == "invert":
@@ -296,6 +307,8 @@ def _cmd_kinematics(args, constants) -> int:
 
 
 def _cmd_match(args, constants) -> int:
+    from . import matcher
+
     records = matcher.load_catalog(args.catalog)
     hits = []
     for rec in records:
@@ -318,6 +331,8 @@ def _cmd_match(args, constants) -> int:
 
 
 def _cmd_reproduce_tables(args, constants) -> int:
+    from . import matcher
+
     reports = matcher.reproduce_tables(constants)
     rows = [rep.as_row() for rep in reports]
     _emit(args, constants, {c: [row[c] for row in rows] for c in rows[0]})
@@ -459,9 +474,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_numbers(args) -> None:
-    """Reject a non-finite number flag or a count (steps, top-k, n-random) outside [1, 10^6] before any work."""
+    """Reject a flag without a value, a non-finite number flag or a count (steps, top-k, n-random) outside [1, 10^6] before any work."""
     for name, value in vars(args).items():
         flag = "--" + name.replace("_", "-")
+        if isinstance(value, list):  # argparse reads "--flag=--" as an empty list, skipping type and choices
+            raise ValueError(f"{flag} needs a value")
         if isinstance(value, float):
             require_finite(flag, value)
         elif name.endswith("steps") or name in ("top_k", "n_random"):

@@ -8,10 +8,10 @@ explicitly says degrees.
 from __future__ import annotations
 
 import enum
-import json
 import math
+import os
+import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 __all__ = [
     "Alternative",
@@ -90,6 +90,8 @@ class Constants:
     def __post_init__(self) -> None:
         # named by their config keys, which every report header prints
         require_finite("m_e_keV", self.electron_rest_energy, positive=True)
+        if self.electron_rest_energy < sys.float_info.min:
+            raise ValueError(f"m_e_keV must be a normal float, at least {sys.float_info.min!r}, got {self.electron_rest_energy!r}")
         if not 0.0 < self.fine_structure < 1.0:
             raise ValueError(f"alpha0 must lie in (0, 1), got {self.fine_structure!r}")
         require_finite("numeric_tolerance", self.numeric_tolerance, positive=True)
@@ -103,13 +105,17 @@ class Constants:
 DEFAULT_CONSTANTS = Constants()
 
 
-def load_constants(path: str | Path) -> Constants:
+def load_constants(path: str | os.PathLike) -> Constants:
     """Build :class:`Constants` from a JSON file overriding the defaults.
 
     Recognized keys: ``m_e_keV``, ``alpha0``, ``numeric_tolerance``.  Unknown
-    keys are rejected so typos do not silently fall back to defaults.
+    keys are rejected so typos do not silently fall back to defaults, and so
+    is a value that is not a number, ``true`` and ``false`` included.
     """
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    import json
+
+    with open(path, encoding="utf-8") as f:
+        raw = json.load(f)
     if not isinstance(raw, dict):
         raise ValueError("constants config must be a JSON object")
     fields = {"m_e_keV": "electron_rest_energy", "alpha0": "fine_structure", "numeric_tolerance": "numeric_tolerance"}
@@ -119,7 +125,8 @@ def load_constants(path: str | Path) -> Constants:
     values = {}
     for key, value in raw.items():
         try:
-            values[fields[key]] = float(value)
+            # float(True) is 1.0, so a bool goes in as None and fails
+            values[fields[key]] = float(None if isinstance(value, bool) else value)
         except (TypeError, ValueError):
             raise ValueError(f"constants config key {key} must be a number, got {value!r}") from None
     return Constants(**values)

@@ -102,7 +102,8 @@ def _parse_record(raw: dict, index: int) -> ExperimentRecord:
         if value is None and default is None:  # an optional field, absent or null
             return None
         try:
-            x = float(value)
+            # float(True) is 1.0, so a bool goes in as None and fails
+            x = float(None if isinstance(value, bool) else value)
             require_finite(key, x, positive)
         except (TypeError, ValueError):
             fail(f"{label or key} must be a finite{' positive' if positive else ''} number, got {value!r}")

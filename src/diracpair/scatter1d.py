@@ -45,6 +45,7 @@ __all__ = [
     "ScatterResult",
     "barrier_transmission",
     "dispersion",
+    "require_normal_mass_square",
     "square_well_bound_states",
     "step_transmission",
 ]
@@ -302,6 +303,13 @@ def _well_secular(e, depth: float, width: float, m: float, oscillating: bool):
     return (b * s - mu * c) - mu * (c + a * mu * s)
 
 
+def require_normal_mass_square(constants: Constants = DEFAULT_CONSTANTS) -> None:
+    """Raise ValueError naming m_e_keV unless m^2 is a finite normal float, as the square-well scan needs."""
+    m = constants.m
+    if not _TINY <= m * m < np.inf:
+        raise ValueError(f"m_e_keV={m!r} gives m^2 = {m * m!r}, which is not a finite normal float")
+
+
 def square_well_bound_states(
     alt: Alternative,
     depth: float,
@@ -323,9 +331,8 @@ def square_well_bound_states(
     """
     if depth < 0.0 or width <= 0.0:
         raise ValueError("need depth >= 0 and width > 0")
+    require_normal_mass_square(constants)
     m = constants.m
-    if not _TINY <= m * m < np.inf:
-        raise ValueError(f"m_e_keV={m!r} gives m^2 = {m * m!r}, which is not a finite normal float")
     if depth == 0.0:
         return []
     lo = -m * (1.0 - 1e-6) if alt is Alternative.D1 else m * 1e-6

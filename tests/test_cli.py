@@ -316,6 +316,9 @@ def test_invalid_number_exits_2_with_message(capsys, argv, flag):
         # a null took the place of the default: exit 1, and exit 2 naming only the beam energy
         ("catalog", {"observed_keV": None}, "observed_keV"),
         ("catalog", {"x_mev_per_u": None}, "x_mev_per_u"),
+        # float(True) is 1.0: each ran with exit 0 as a 1-keV mass or peak
+        ("config", {"m_e_keV": True}, "m_e_keV"),
+        ("catalog", {"observed_keV": True}, "observed_keV"),
     ],
 )
 def test_bad_input_file_field_exits_2_naming_it(tmp_path, capsys, kind, entry, field):
@@ -350,13 +353,53 @@ def test_algebra_check_rejects_a_mass_whose_energy_leaves_the_float_range(tmp_pa
 @pytest.mark.parametrize("m", [1e-320, 1e-160, 1.4e154, 1e300])
 def test_square_well_rejects_a_mass_whose_square_is_not_a_normal_float(tmp_path, capsys, m, alt):
     # m^2 overflows, underflows to 0, or is subnormal: each exited 0, with no
-    # levels after numpy warnings or with levels from a mass short of bits
+    # levels after numpy warnings or with levels from a mass short of bits.
+    # The config file is at fault, so the message names no flag.
     path = tmp_path / "constants.json"
     path.write_text(json.dumps({"m_e_keV": m}))
     code, out, err = run_cli(capsys, "--config", str(path), "scatter", f"--alt={alt}", "--well-depth=766.5", "--well-width=0.0039")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "m_e_keV" in err and err.count("\n") == 1, err
+    assert err.startswith("error: m_e_keV") and "--" not in err and err.count("\n") == 1, err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [("scatter", "--alt", "d1", "--v0", "1533", "--emin", "520", "--emax", "5110", "--steps", "3"), ("levels", "--ion", "Pb")],
+    ids=["step", "levels"],
+)
+@pytest.mark.parametrize("m", [5e-324, 1e-320, 2.2e-308])
+def test_subnormal_mass_exits_2_naming_it(tmp_path, capsys, m, argv):
+    # a step sweep printed klein_zone rows with T = 1 under m_e_keV 1e-320, with exit 0
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps({"m_e_keV": m}))
+    code, out, err = run_cli(capsys, "--config", str(path), *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: m_e_keV") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("transitions", "--ion=--"), "--ion"),
+        (("levels", "--ion", "Pb", "--shells=--"), "--shells"),
+        (("scatter", "--alt=--", "--v0", "1533", "--emin", "520", "--emax", "5110"), "--alt"),
+        (("scatter", "--alt", "d1", "--v0=--", "--emin", "520", "--emax", "5110"), "--v0"),
+        (("match", "--catalog=--"), "--catalog"),
+        (("algebra-check", "--n-random=--"), "--n-random"),
+        # these two ran with the default output format or constants, exit 0
+        (("--format=--", "levels", "--ion", "Pb"), "--format"),
+        (("levels", "--ion", "Pb", "--config=--"), "--config"),
+    ],
+)
+def test_flag_given_as_double_dash_exits_2_naming_it(capsys, argv, flag):
+    # argparse reads "--flag=--" as an empty list, past the flag's type and choices
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} needs a value\n"
 
 
 def test_count_at_the_ceiling_is_accepted(capsys):
@@ -604,6 +647,47 @@ assert len(out.getvalue().splitlines()) == 2 + 20
     assert cp.returncode == 0, cp.stderr
 
 
+# Every README example, and the modules of _WATCHED that it loads.
+_WATCHED = (
+    "numpy", "json", "diracpair.algebra", "diracpair.decaymodel", "diracpair.hydrogenic",
+    "diracpair.kinematics", "diracpair.matcher", "diracpair.scatter1d", "diracpair.wavepacket",
+)
+_README_LOADS = (
+    (("algebra-check", "--format", "json"), "numpy json diracpair.algebra"),
+    (("scatter", "--alt", "d2", "--v0", "1533", "--emin", "520", "--emax", "5110", "--steps", "100"), "numpy diracpair.scatter1d"),
+    (("scatter", "--alt", "d1", "--v0", "1533", "--width", "0.004", "--emin", "600", "--emax", "2600"), "numpy diracpair.scatter1d"),
+    (("scatter", "--alt", "d1", "--well-depth", "766.5", "--well-width", "0.0039"), "numpy diracpair.scatter1d"),
+    (("levels", "--ion", "Pb", "--shells", "K,L1,L2"), "json diracpair.hydrogenic"),
+    (("transitions", "--ion", "Pb"), "json diracpair.hydrogenic"),
+    (("zbw", "--dwidth", "0.002", "--tmax", "0.2", "--tsteps", "400", "--p0", "1022"), "numpy diracpair.wavepacket"),
+    (("kinematics", "--deps", "818.8", "--x", "6", "--theta", "45", "--branch", "+", "--format", "json"), "json diracpair.kinematics"),
+    (("kinematics", "invert", "--deps", "818.835", "--branch", "+", "--target", "576"), "diracpair.kinematics"),
+    (("match", "--catalog", CATALOG_576, "--top-k", "6"), "json diracpair.hydrogenic diracpair.kinematics diracpair.matcher"),
+    (("reproduce-tables",), "json diracpair.hydrogenic diracpair.kinematics diracpair.matcher"),
+    (("counting-time", "--x0", "1", "--xmin", "0.1", "--xmax", "10", "--steps", "200"), "numpy diracpair.decaymodel"),
+    (("lineshape", "--deps", "818.8", "--tmin", "800", "--tmax", "900", "--steps", "200"), "numpy diracpair.decaymodel"),
+)
+
+
+@pytest.mark.parametrize("argv, loads", _README_LOADS, ids=[f"{argv[0]}-{i}" for i, (argv, _) in enumerate(_README_LOADS)])
+def test_each_subcommand_loads_only_what_it_runs(argv, loads):
+    code = f"""
+import contextlib, io, sys
+import diracpair.cli
+loaded = lambda: " ".join(m for m in {_WATCHED!r} if m in sys.modules)
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    exit_code = diracpair.cli.main({list(argv)!r})
+print(loaded())
+sys.exit(exit_code)
+"""
+    cp = run_fresh(code)
+    assert cp.returncode == 0, cp.stderr
+    after_import, after_run = cp.stdout.split("\n")[:2]
+    assert after_import == "", "import diracpair.cli"
+    assert set(after_run.split()) == set(loads.split())
+
+
 # --- BLAS threads ---------------------------------------------------------------
 #
 # main() asks BLAS for one thread unless the caller chose a number.
@@ -757,6 +841,31 @@ def test_scatter_argv_exits_0_with_finite_output_or_2(mode, alt, fmt, v0, width,
     assert code in (0, 2), argv
     if code == 0:
         assert not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE), argv
+
+
+# ions and shell labels: the known ones, near misses, and any short text
+_ION = st.one_of(st.sampled_from(("U", "Pb", "Th", "Ta", "Cm", "Au", "pb", " Pb", "Xx", "")), st.text(max_size=3))
+_SHELLS = st.lists(st.one_of(st.sampled_from(("K", "L1", "L2", "M", "Z", "L3", "k", " K ", "")), st.text(max_size=3)), max_size=4).map(",".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ion=_ION, shells=_SHELLS, fmt=st.sampled_from(("csv", "json")))
+@example(ion="Pb", shells="K,L1,L2", fmt="csv")
+@example(ion="Cm", shells="K,K, Z ,M", fmt="json")
+@example(ion="Pb", shells=" , ", fmt="csv")
+# "--flag=--" once reached the handler as an empty list and exited 1
+@example(ion="--", shells="K", fmt="csv")
+@example(ion="Pb", shells="--", fmt="csv")
+def test_levels_argv_exits_0_with_finite_output_or_2(ion, shells, fmt):
+    _assert_finite_or_2(("levels", f"--ion={ion}", f"--shells={shells}", f"--format={fmt}"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ion=_ION, fmt=st.sampled_from(("csv", "json")))
+@example(ion="Pb", fmt="csv")
+@example(ion="--", fmt="csv")
+def test_transitions_argv_exits_0_with_finite_output_or_2(ion, fmt):
+    _assert_finite_or_2(("transitions", f"--ion={ion}", f"--format={fmt}"))
 
 
 # --- whole-domain input-file properties ---------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -64,6 +65,13 @@ def test_constants_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 Constants(**{field: bad})
+
+
+def test_constants_need_a_normal_mass():
+    assert Constants(electron_rest_energy=sys.float_info.min).m == sys.float_info.min
+    for subnormal in (5e-324, 1e-320, sys.float_info.min / 2):
+        with pytest.raises(ValueError, match="m_e_keV"):
+            Constants(electron_rest_energy=subnormal)
 
 
 def test_load_constants(tmp_path):
