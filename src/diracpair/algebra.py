@@ -195,7 +195,7 @@ def find_conjugation_matrix(m: DiracMatrices, constants: Constants = DEFAULT_CON
     tol = constants.numeric_tolerance * max(1.0, float(svals[0]))
     null_dim = int(np.sum(svals < tol)) + (16 - len(svals) if len(svals) < 16 else 0)
     if null_dim != 1:
-        raise ValueError(f"conjugation constraints have solution space of dimension {null_dim}, expected 1")
+        raise ValueError(f"numeric_tolerance={constants.numeric_tolerance!r} gives the conjugation constraints a solution space of dimension {null_dim}, expected 1")
     c = vh[-1].reshape(4, 4)
     # Rescale to unitary: the constraints force C C^dagger to be a multiple of I.
     gram = c @ c.conj().T

@@ -80,7 +80,8 @@ class Constants:
     """Physical constants and numeric tolerances used by every module.
 
     Defaults are the CODATA 2018 values; they can be overridden from a JSON
-    config file (keys ``m_e_keV`` and ``alpha0``) via :func:`load_constants`.
+    config file (keys ``m_e_keV``, ``alpha0`` and ``numeric_tolerance``) via
+    :func:`load_constants`.
     """
 
     electron_rest_energy: float = 510.998950  # m_e c^2 in keV
@@ -88,10 +89,11 @@ class Constants:
     numeric_tolerance: float = 1e-12  # relative, for algebraic identities
 
     def __post_init__(self) -> None:
-        # named by their config keys, which every report header prints
-        require_finite("m_e_keV", self.electron_rest_energy, positive=True)
-        if self.electron_rest_energy < sys.float_info.min:
-            raise ValueError(f"m_e_keV must be a normal float, at least {sys.float_info.min!r}, got {self.electron_rest_energy!r}")
+        # named by their config keys, which every report header prints; D1 and D2
+        # are compared through m^2 (E_p^2 = p^2 + m^2, the gap edges +-m)
+        m = self.electron_rest_energy
+        if not (m > 0.0 and sys.float_info.min <= m * m <= sys.float_info.max):
+            raise ValueError(f"m_e_keV must be positive with m^2 a finite normal float (about 1.5e-154 to 1.3e154), got {m!r}")
         if not 0.0 < self.fine_structure < 1.0:
             raise ValueError(f"alpha0 must lie in (0, 1), got {self.fine_structure!r}")
         require_finite("numeric_tolerance", self.numeric_tolerance, positive=True)

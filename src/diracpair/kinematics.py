@@ -43,7 +43,6 @@ _BRANCHES = ("+", "-")
 class IonBoost:
     """Ion boost after scattering, assumed equal to the beam velocity."""
 
-    x_mev_per_nucleon: float
     gamma_i: float
     beta_i: float
 
@@ -74,7 +73,7 @@ def boost_from_beam_energy(x: float) -> IonBoost:
     require_finite("beam energy", x, positive=True)
     gamma_i = 1.0 + 0.001 * x
     beta_i = math.sqrt(1.0 - 1.0 / (gamma_i * gamma_i))
-    return IonBoost(x_mev_per_nucleon=x, gamma_i=gamma_i, beta_i=beta_i)
+    return IonBoost(gamma_i=gamma_i, beta_i=beta_i)
 
 
 def _check_branch(branch: str) -> float:

@@ -47,7 +47,6 @@ class ExperimentRecord:
     spectrometer: str
     observable: str
     observed: float  # keV, in the observable's own units
-    uncertainty: float | None
     beam_energy_x: float
     flagged_marginal: bool
     ion: IonSpecies | None = None
@@ -109,6 +108,12 @@ def _parse_record(raw: dict, index: int) -> ExperimentRecord:
             fail(f"{label or key} must be a finite{' positive' if positive else ''} number, got {value!r}")
         return x
 
+    def typed(key: str, default, kind: type):
+        value = raw.get(key, default)
+        if not isinstance(value, kind):
+            fail(f"{key} must be a JSON {'string' if kind is str else 'bool'}, got {value!r}")
+        return value
+
     try:
         beam_sym, target_sym = str(raw["system"]).split("+")
     except (KeyError, ValueError):
@@ -138,14 +143,14 @@ def _parse_record(raw: dict, index: int) -> ExperimentRecord:
     observed = number("observed_keV", 0.0, positive=True)
     if observable == "positron_energy" and not math.isfinite(2.0 * observed):
         fail(f"observed_keV of a positron peak is doubled, so must be at most half the float range, got {observed!r}")
+    number("uncertainty_keV")  # checked, though nothing reads it
     return ExperimentRecord(
         system=(beam, target),
-        spectrometer=str(raw.get("spectrometer", "")),
+        spectrometer=typed("spectrometer", "", str),
         observable=observable,
         observed=observed,
-        uncertainty=number("uncertainty_keV"),
         beam_energy_x=number("x_mev_per_u", 6.0, positive=True, label="x_mev_per_u (the beam energy)"),
-        flagged_marginal=bool(raw.get("marginal", False)),
+        flagged_marginal=typed("marginal", False, bool),
         ion=ion,
         upper=upper,
         lower=lower,
@@ -153,7 +158,7 @@ def _parse_record(raw: dict, index: int) -> ExperimentRecord:
         published_theory_at_45=number("published_theory_at_45_keV"),
         published_theta_deg=number("published_theta_deg"),
         flags=tuple(flags),
-        note=str(raw.get("note", "")),
+        note=typed("note", "", str),
     )
 
 

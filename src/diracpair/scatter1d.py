@@ -45,7 +45,6 @@ __all__ = [
     "ScatterResult",
     "barrier_transmission",
     "dispersion",
-    "require_normal_mass_square",
     "square_well_bound_states",
     "step_transmission",
 ]
@@ -65,7 +64,6 @@ _CLASSIFICATIONS = np.array([GAP_BLOCKED, EVANESCENT_TUNNELING, KLEIN_ZONE, CLAS
 # Sweeps stay clear of the measure-zero mode boundaries E = V +- m where k or
 # kappa vanishes; behaviour there is defined by one-sided limits.
 _EDGE_MARGIN = 1e-9
-_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -303,13 +301,6 @@ def _well_secular(e, depth: float, width: float, m: float, oscillating: bool):
     return (b * s - mu * c) - mu * (c + a * mu * s)
 
 
-def require_normal_mass_square(constants: Constants = DEFAULT_CONSTANTS) -> None:
-    """Raise ValueError naming m_e_keV unless m^2 is a finite normal float, as the square-well scan needs."""
-    m = constants.m
-    if not _TINY <= m * m < np.inf:
-        raise ValueError(f"m_e_keV={m!r} gives m^2 = {m * m!r}, which is not a finite normal float")
-
-
 def square_well_bound_states(
     alt: Alternative,
     depth: float,
@@ -326,12 +317,11 @@ def square_well_bound_states(
     (2000 points uniform in E per segment, cells split to at most pi/2 of the
     phase k*width, and the window ends) brackets the roots, and one bisection
     over all of a segment's brackets takes ``core.bisect_root``'s steps on each.
-    A scan past ``MAX_COUNT`` points, a phase that overflows, or an m_e_keV
-    whose square is not a finite normal float raises ValueError.
+    A scan past ``MAX_COUNT`` points or a phase that overflows raises
+    ValueError.
     """
     if depth < 0.0 or width <= 0.0:
         raise ValueError("need depth >= 0 and width > 0")
-    require_normal_mass_square(constants)
     m = constants.m
     if depth == 0.0:
         return []

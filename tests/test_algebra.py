@@ -234,6 +234,7 @@ def test_1d_spinors():
 def test_energy_p_fails_closed_outside_the_normal_float_range():
     for p in random_momenta(5):
         assert algebra.energy_p(p) == float(np.sqrt(p @ p + M * M))
-    for m, p in ((1e300, np.zeros(3)), (1e-160, np.zeros(3)), (1.0, np.full(3, 1e200)), (1.0, np.full(3, 1e308))):
+    # a mass outside Constants' domain never gets here; a momentum can still overflow
+    for p in (np.full(3, 1e200), np.full(3, 1e308)):
         with pytest.raises(ValueError, match="m_e_keV"):
-            algebra.energy_p(p, Constants(electron_rest_energy=m))
+            algebra.energy_p(p, Constants(electron_rest_energy=1.0))

@@ -289,6 +289,8 @@ def test_config_override_changes_header_and_values(tmp_path, capsys):
         # once exited 0 printing nan: E - V0 overflows; a barrier phase p * width overflows
         (("scatter", "--alt=d1", "--v0=-1e308", "--emin=1e307", "--emax=1e308", "--steps=2"), "--v0"),
         (("scatter", "--alt=d1", "--v0=1", "--width=1e130", "--emin=1e35", "--emax=1e247", "--steps=9"), "--width"),
+        # numpy's "expected non-negative integer" named no flag
+        (("algebra-check", "--seed=-1"), "--seed"),
     ],
 )
 def test_invalid_number_exits_2_with_message(capsys, argv, flag):
@@ -319,6 +321,14 @@ def test_invalid_number_exits_2_with_message(capsys, argv, flag):
         # float(True) is 1.0: each ran with exit 0 as a 1-keV mass or peak
         ("config", {"m_e_keV": True}, "m_e_keV"),
         ("catalog", {"observed_keV": True}, "observed_keV"),
+        # text went through str() and bool through bool(): each exited 0, printing
+        # None or a list's repr as the spectrometer, or reading "no" as true
+        ("catalog", {"spectrometer": None}, "spectrometer"),
+        ("catalog", {"spectrometer": ["sum"]}, "spectrometer"),
+        ("catalog", {"note": None}, "note"),
+        ("catalog", {"note": 5}, "note"),
+        ("catalog", {"marginal": "no"}, "marginal"),
+        ("catalog", {"marginal": 0}, "marginal"),
     ],
 )
 def test_bad_input_file_field_exits_2_naming_it(tmp_path, capsys, kind, entry, field):
@@ -378,6 +388,54 @@ def test_subnormal_mass_exits_2_naming_it(tmp_path, capsys, m, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: m_e_keV") and err.count("\n") == 1, err
+
+
+# the README argv of each subcommand, with short sweeps
+_EXAMPLES = [
+    ("algebra-check", "--n-random", "3"),
+    ("scatter", "--alt", "d2", "--v0", "1533", "--emin", "520", "--emax", "5110", "--steps", "3"),
+    ("scatter", "--alt", "d1", "--v0", "1533", "--width", "0.004", "--emin", "600", "--emax", "2600", "--steps", "3"),
+    ("scatter", "--alt", "d1", "--well-depth", "766.5", "--well-width", "0.0039"),
+    ("levels", "--ion", "Pb"),
+    ("transitions", "--ion", "Pb"),
+    ("zbw", "--dwidth", "0.002", "--tmax", "0.2", "--tsteps", "4", "--p0", "1022"),
+    ("kinematics", "--deps", "818.8", "--branch", "+"),
+    ("kinematics", "invert", "--deps", "818.835", "--branch", "+", "--target", "576"),
+    ("match", "--catalog", CATALOG_576),
+    ("reproduce-tables",),
+    ("counting-time", "--x0", "1", "--xmin", "0.1", "--xmax", "10", "--steps", "3"),
+    ("lineshape", "--deps", "818.8", "--tmin", "800", "--tmax", "900", "--steps", "3"),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    _EXAMPLES,
+    ids=["algebra-check", "step", "barrier", "well", "levels", "transitions", "zbw", "solve", "invert", "match", "reproduce-tables", "counting-time", "lineshape"],
+)
+@pytest.mark.parametrize("m", [1e155, 1e-160, 2.2e-308])
+def test_mass_outside_the_domain_exits_2_naming_it_in_every_subcommand(tmp_path, capsys, m, argv):
+    # m^2 overflows, is subnormal or underflows to 0.  Before, levels, match and
+    # others exited 0 from such a mass, and zbw, kinematics and scatter sweeps
+    # blamed their flags for it
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps({"m_e_keV": m}))
+    code, out, err = run_cli(capsys, "--config", str(path), *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: m_e_keV") and "--" not in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("tol", [10.0, 1e-300])
+def test_algebra_check_names_a_numeric_tolerance_that_does_not_pin_c(tmp_path, capsys, tol):
+    # the message gave only the solution space's dimension, 16 or 0
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps({"numeric_tolerance": tol}))
+    code, out, err = run_cli(capsys, "--config", str(path), "algebra-check", "--n-random", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: numeric_tolerance={tol!r}") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(
@@ -866,6 +924,37 @@ def test_levels_argv_exits_0_with_finite_output_or_2(ion, shells, fmt):
 @example(ion="--", fmt="csv")
 def test_transitions_argv_exits_0_with_finite_output_or_2(ion, fmt):
     _assert_finite_or_2(("transitions", f"--ion={ion}", f"--format={fmt}"))
+
+
+def _assert_finite_or_2_naming_a_flag(argv):
+    """Exit 0 with finite output, or exit 2 with one stderr line that starts with a flag."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 2), argv
+    if code == 0:
+        assert not re.search(r"\b(nan|inf|infinity)\b", out.getvalue(), re.IGNORECASE), argv
+    else:
+        assert err.getvalue().startswith("error: --") and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+
+
+@settings(max_examples=50, deadline=None)
+@given(n_random=st.integers(1, 5), seed=st.integers(), fmt=st.sampled_from(("csv", "json")))
+@example(n_random=3, seed=0, fmt="csv")
+# numpy's own message, "expected non-negative integer", named no flag
+@example(n_random=1, seed=-1, fmt="csv")
+@example(n_random=1, seed=2**200, fmt="json")
+def test_algebra_check_argv_exits_0_with_finite_output_or_2(n_random, seed, fmt):
+    _assert_finite_or_2_naming_a_flag(("algebra-check", f"--n-random={n_random}", f"--seed={seed}", f"--format={fmt}"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(top_k=st.integers(), fmt=st.sampled_from(("csv", "json")))
+@example(top_k=6, fmt="csv")
+@example(top_k=0, fmt="csv")
+@example(top_k=10**6 + 1, fmt="json")
+def test_match_argv_exits_0_with_finite_output_or_2(top_k, fmt):
+    _assert_finite_or_2_naming_a_flag(("match", "--catalog", CATALOG_576, f"--top-k={top_k}", f"--format={fmt}"))
 
 
 # --- whole-domain input-file properties ---------------------------------------------

@@ -68,10 +68,17 @@ def test_constants_validation():
 
 
 def test_constants_need_a_normal_mass():
-    assert Constants(electron_rest_energy=sys.float_info.min).m == sys.float_info.min
-    for subnormal in (5e-324, 1e-320, sys.float_info.min / 2):
-        with pytest.raises(ValueError, match="m_e_keV"):
-            Constants(electron_rest_energy=subnormal)
+    # m^2 must be a finite normal float: the edges are sqrt(min) and sqrt(max)
+    lo, hi = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
+    assert (lo, hi) == (1.4916681462400413e-154, 1.3407807929942596e154)
+    assert Constants(electron_rest_energy=lo).m == lo
+    assert Constants(electron_rest_energy=hi).m == hi
+    # subnormal masses, masses whose square is subnormal or overflows (an int's
+    # square does not overflow, but its float does), and the p = 0 masses that
+    # algebra.energy_p once had to refuse
+    for bad in (5e-324, 1e-320, sys.float_info.min / 2, sys.float_info.min, math.nextafter(lo, 0.0), math.nextafter(hi, math.inf), 10**200, 1e-160, 1e300):
+        with pytest.raises(ValueError, match="^m_e_keV"):
+            Constants(electron_rest_energy=bad)
 
 
 def test_load_constants(tmp_path):

@@ -121,7 +121,7 @@ def test_match_peak_exact_value_recovers_45_degrees(table1):
     target = cands[0].theory_at_45
     rec = matcher.ExperimentRecord(
         system=rec0.system, spectrometer="sum", observable="pair_sum_kinetic",
-        observed=target, uncertainty=None, beam_energy_x=6.0, flagged_marginal=False,
+        observed=target, beam_energy_x=6.0, flagged_marginal=False,
     )
     top = matcher.match_peak(rec, cands, top_k=1)[0]
     assert top.residual_at_45 == 0.0
