@@ -21,6 +21,7 @@ __all__ = [
     "ROOT_TOLERANCE",
     "bisect_root",
     "energy_of_momentum",
+    "json_field",
     "load_constants",
     "require_finite",
 ]
@@ -54,6 +55,32 @@ def require_finite(name: str, value, positive: bool = False) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
     if positive and not pos:
         raise ValueError(f"{name} must be positive, got {value!r}")
+
+
+def json_field(obj: dict, key: str, kind: type, default=..., positive: bool = False, label: str | None = None):
+    """Return ``obj[key]``, a value read by ``json``, checked as a JSON value of ``kind``.
+
+    ``kind`` is ``float`` (an int or float, not a bool, finite, > 0 with
+    ``positive``; returned as a float), ``str``, ``bool`` or ``list`` (of
+    strings).  Without a ``default`` the field is required; with one it takes
+    the default when absent and fails on null; with ``default=None`` it is
+    optional, None when absent or null.  The one reader of config and catalog
+    fields: each failure is a ValueError that starts with ``label`` or ``key``.
+    """
+    value = obj.get(key, default)
+    if value is ...:
+        raise ValueError(f"{label or key} is missing")
+    if value is None and default is None:
+        return None
+    if kind is float:
+        # exact for an int of any size, and false for nan
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max and (value > 0 or not positive)
+    else:
+        ok = type(value) is kind and (kind is not list or all(type(item) is str for item in value))
+    if not ok:
+        what = {float: f"a finite{' positive' * positive} number", str: "a JSON string", bool: "a JSON bool", list: "a list of strings"}[kind]
+        raise ValueError(f"{label or key} must be {what}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 class Alternative(enum.Enum):
@@ -112,7 +139,7 @@ def load_constants(path: str | os.PathLike) -> Constants:
 
     Recognized keys: ``m_e_keV``, ``alpha0``, ``numeric_tolerance``.  Unknown
     keys are rejected so typos do not silently fall back to defaults, and so
-    is a value that is not a number, ``true`` and ``false`` included.
+    is a value that is not a finite JSON number (:func:`json_field`).
     """
     import json
 
@@ -124,14 +151,7 @@ def load_constants(path: str | os.PathLike) -> Constants:
     unknown = set(raw) - set(fields)
     if unknown:
         raise ValueError(f"unknown constants config keys: {sorted(unknown)}")
-    values = {}
-    for key, value in raw.items():
-        try:
-            # float(True) is 1.0, so a bool goes in as None and fails
-            values[fields[key]] = float(None if isinstance(value, bool) else value)
-        except (TypeError, ValueError):
-            raise ValueError(f"constants config key {key} must be a number, got {value!r}") from None
-    return Constants(**values)
+    return Constants(**{fields[key]: json_field(raw, key, float) for key in raw})
 
 
 def energy_of_momentum(p, constants: Constants = DEFAULT_CONSTANTS):
@@ -146,8 +166,8 @@ def energy_of_momentum(p, constants: Constants = DEFAULT_CONSTANTS):
 def bisect_root(f, a: float, b: float, xtol: float, fa: float | None = None, fb: float | None = None) -> float:
     """Bisection on a bracketing interval [a, b] with f(a)*f(b) <= 0.
 
-    Plain bisection is used everywhere a root is bracketed: it is branch-free,
-    deterministic, and accurate to the requested ``xtol`` on the abscissa.
+    Branch-free, deterministic, and accurate to ``xtol`` on the abscissa;
+    ``kinematics.solve_theta`` refines each bracketed angle with it.
     """
     if fa is None:
         fa = f(a)

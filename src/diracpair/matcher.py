@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .core import Constants, DEFAULT_CONSTANTS, require_finite
+from .core import Constants, DEFAULT_CONSTANTS, json_field
 from .hydrogenic import DEFAULT_SHELL_PAIRS, IonSpecies, Shell, Transition, get_ion, pair_transition_energy
 from .kinematics import IonBoost, boost_from_beam_energy, lab_pair_energy, solve_theta
 
@@ -92,74 +92,47 @@ class MatchResult:
         return None if self.solved_theta is None else math.degrees(self.solved_theta)
 
 
-def _parse_record(raw: dict, index: int) -> ExperimentRecord:
-    def fail(msg: str):
-        raise ValueError(f"catalog entry {index}: {msg}")
-
-    def number(key: str, default=None, positive: bool = False, label: str | None = None):
-        value = raw.get(key, default)
-        if value is None and default is None:  # an optional field, absent or null
-            return None
-        try:
-            # float(True) is 1.0, so a bool goes in as None and fails
-            x = float(None if isinstance(value, bool) else value)
-            require_finite(key, x, positive)
-        except (TypeError, ValueError):
-            fail(f"{label or key} must be a finite{' positive' if positive else ''} number, got {value!r}")
-        return x
-
-    def typed(key: str, default, kind: type):
-        value = raw.get(key, default)
-        if not isinstance(value, kind):
-            fail(f"{key} must be a JSON {'string' if kind is str else 'bool'}, got {value!r}")
-        return value
-
+def _parse_record(raw, index: int) -> ExperimentRecord:
     try:
-        beam_sym, target_sym = str(raw["system"]).split("+")
-    except (KeyError, ValueError):
-        fail("missing or malformed 'system' (expected e.g. 'U+Pb')")
-    try:
-        beam = get_ion(beam_sym)
-        target = get_ion(target_sym)
+        if type(raw) is not dict:
+            raise ValueError(f"must be a JSON object, got {raw!r}")
+        system = json_field(raw, "system", str)
+        if system.count("+") != 1:
+            raise ValueError(f"system must be two ion symbols joined by '+', e.g. 'U+Pb', got {system!r}")
+        beam, target = map(get_ion, system.split("+"))
+        observable = json_field(raw, "observable", str)
+        if observable not in _OBSERVABLES:
+            raise ValueError(f"observable must be one of {_OBSERVABLES}, got {observable!r}")
+        ion = upper = lower = None
+        if "ion" in raw:
+            ion = get_ion(json_field(raw, "ion", str))
+            upper = Shell.from_label(json_field(raw, "upper", str))
+            lower = Shell.from_label(json_field(raw, "lower", str))
+        branch = json_field(raw, "branch", str, None)
+        if branch not in (None, "+", "-"):
+            raise ValueError(f"branch must be '+' or '-', got {branch!r}")
+        observed = json_field(raw, "observed_keV", float, positive=True)
+        if observable == "positron_energy" and not math.isfinite(2.0 * observed):
+            raise ValueError(f"observed_keV of a positron peak is doubled, so must be at most half the float range, got {observed!r}")
+        json_field(raw, "uncertainty_keV", float, None)  # checked, though nothing reads it
+        return ExperimentRecord(
+            system=(beam, target),
+            spectrometer=json_field(raw, "spectrometer", str, ""),
+            observable=observable,
+            observed=observed,
+            beam_energy_x=json_field(raw, "x_mev_per_u", float, 6.0, positive=True, label="x_mev_per_u (the beam energy)"),
+            flagged_marginal=json_field(raw, "marginal", bool, False),
+            ion=ion,
+            upper=upper,
+            lower=lower,
+            branch=branch,
+            published_theory_at_45=json_field(raw, "published_theory_at_45_keV", float, None),
+            published_theta_deg=json_field(raw, "published_theta_deg", float, None),
+            flags=tuple(json_field(raw, "flags", list, [])),
+            note=json_field(raw, "note", str, ""),
+        )
     except ValueError as exc:
-        fail(str(exc))
-    observable = raw.get("observable", "")
-    if observable not in _OBSERVABLES:
-        fail(f"observable must be one of {_OBSERVABLES}, got {observable!r}")
-    flags = raw.get("flags", [])
-    if not isinstance(flags, list) or not all(isinstance(flag, str) for flag in flags):
-        fail(f"flags must be a list of strings, got {flags!r}")
-    ion = upper = lower = None
-    if "ion" in raw:
-        try:
-            ion = get_ion(str(raw["ion"]))
-            upper = Shell.from_label(str(raw["upper"]))
-            lower = Shell.from_label(str(raw["lower"]))
-        except (KeyError, ValueError) as exc:
-            fail(str(exc))
-    branch = raw.get("branch")
-    if branch is not None and branch not in ("+", "-"):
-        fail(f"branch must be '+' or '-', got {branch!r}")
-    observed = number("observed_keV", 0.0, positive=True)
-    if observable == "positron_energy" and not math.isfinite(2.0 * observed):
-        fail(f"observed_keV of a positron peak is doubled, so must be at most half the float range, got {observed!r}")
-    number("uncertainty_keV")  # checked, though nothing reads it
-    return ExperimentRecord(
-        system=(beam, target),
-        spectrometer=typed("spectrometer", "", str),
-        observable=observable,
-        observed=observed,
-        beam_energy_x=number("x_mev_per_u", 6.0, positive=True, label="x_mev_per_u (the beam energy)"),
-        flagged_marginal=typed("marginal", False, bool),
-        ion=ion,
-        upper=upper,
-        lower=lower,
-        branch=branch,
-        published_theory_at_45=number("published_theory_at_45_keV"),
-        published_theta_deg=number("published_theta_deg"),
-        flags=tuple(flags),
-        note=typed("note", "", str),
-    )
+        raise ValueError(f"catalog entry {index}: {exc}") from None
 
 
 def _parse_catalog(text: str) -> list[ExperimentRecord]:

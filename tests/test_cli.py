@@ -329,6 +329,18 @@ def test_invalid_number_exits_2_with_message(capsys, argv, flag):
         ("catalog", {"note": 5}, "note"),
         ("catalog", {"marginal": "no"}, "marginal"),
         ("catalog", {"marginal": 0}, "marginal"),
+        # went through str(): named no field, showing a repr or a KeyError
+        ("catalog", {"system": ["U+Pb"]}, "system"),
+        ("catalog", {"system": "U+Pb+Pb"}, "system"),
+        ("catalog", {"ion": None}, "ion"),
+        ("catalog", {"ion": "U", "upper": ["K"], "lower": "K"}, "upper"),
+        ("catalog", {"ion": "U"}, "upper"),
+        # a numeric string went through float(): each ran with exit 0
+        ("catalog", {"observed_keV": "576"}, "observed_keV"),
+        ("config", {"m_e_keV": "511"}, "m_e_keV"),
+        # an int beyond the float range: float() raised OverflowError, exit 1
+        ("catalog", {"observed_keV": 10**400}, "observed_keV"),
+        ("config", {"m_e_keV": 10**400}, "m_e_keV"),
     ],
 )
 def test_bad_input_file_field_exits_2_naming_it(tmp_path, capsys, kind, entry, field):
@@ -343,7 +355,60 @@ def test_bad_input_file_field_exits_2_naming_it(tmp_path, capsys, kind, entry, f
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert field in err
+    # one line that leads with the field, after the entry it belongs to
+    assert re.fullmatch(rf"error: (catalog entry 0: )?{field}\b.*\n", err), err
+
+
+@pytest.mark.parametrize("entry", [1, None, "U+Pb"])
+def test_catalog_entry_that_is_not_an_object_exits_2_naming_it(tmp_path, capsys, entry):
+    # each exited 1: "'int' object is not subscriptable" and the like
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([entry]))
+    code, out, err = run_cli(capsys, "match", "--catalog", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: catalog entry 0: must be a JSON object") and err.count("\n") == 1, err
+
+
+def test_match_names_the_entry_whose_beam_energy_overflows(tmp_path, capsys):
+    # a finite beam energy whose T_lab leaves the float range named no entry and no field
+    (record,) = json.loads(Path(CATALOG_576).read_text())
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([record, {**record, "x_mev_per_u": 1e308}]))
+    code, out, err = run_cli(capsys, "match", "--catalog", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: catalog entry 1: x_mev_per_u: ") and err.count("\n") == 1, err
+
+
+def test_reproduce_tables_that_fail_their_check_exit_3(tmp_path, capsys):
+    # a mass inside the domain, far from the electron's: the full table and exit 1 with empty stderr
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps({"m_e_keV": 1.3e154}))
+    code, out, err = run_cli(capsys, "--config", str(path), "reproduce-tables")
+    assert code == 3
+    assert len(out.splitlines()) == 2 + 23 + 30
+    assert re.fullmatch(r"check failed: [1-9]\d* headline rows out of tolerance\n", err), err
+
+
+def test_algebra_check_that_fails_its_check_exits_3(monkeypatch, capsys):
+    # no config breaks an identity, so one residual is made to fail
+    from diracpair import algebra
+
+    real = algebra.clifford_residuals
+    monkeypatch.setattr(algebra, "clifford_residuals", lambda *a: {**real(*a), "beta_squared": 1e-3})
+    code, out, err = run_cli(capsys, "--format", "json", "algebra-check", "--n-random", "2")
+    assert code == 3
+    doc = json.loads(out)["result"]
+    assert doc["passed"] is False and doc["clifford_beta_squared"] == 1e-3
+    assert err == "check failed: clifford_beta_squared residual at or above 1e-10\n"
+
+
+def test_cli_checks_script_passes(tmp_path):
+    # the workflow runs tests/cli_checks.sh through the installed console script
+    script = Path(__file__).parent / "cli_checks.sh"
+    cp = subprocess.run(["bash", str(script), f"{sys.executable} -m diracpair", str(tmp_path)], capture_output=True, text=True, env=child_env())
+    assert cp.returncode == 0, cp.stdout + cp.stderr
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -926,8 +991,8 @@ def test_transitions_argv_exits_0_with_finite_output_or_2(ion, fmt):
     _assert_finite_or_2(("transitions", f"--ion={ion}", f"--format={fmt}"))
 
 
-def _assert_finite_or_2_naming_a_flag(argv):
-    """Exit 0 with finite output, or exit 2 with one stderr line that starts with a flag."""
+def _assert_finite_or_2_with_one_line(argv, prefix="error: --"):
+    """Exit 0 with finite output, or exit 2 with one stderr line that starts with ``prefix`` (by default, a flag)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
@@ -935,7 +1000,7 @@ def _assert_finite_or_2_naming_a_flag(argv):
     if code == 0:
         assert not re.search(r"\b(nan|inf|infinity)\b", out.getvalue(), re.IGNORECASE), argv
     else:
-        assert err.getvalue().startswith("error: --") and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+        assert err.getvalue().startswith(prefix) and err.getvalue().count("\n") == 1, (argv, err.getvalue())
 
 
 @settings(max_examples=50, deadline=None)
@@ -945,7 +1010,7 @@ def _assert_finite_or_2_naming_a_flag(argv):
 @example(n_random=1, seed=-1, fmt="csv")
 @example(n_random=1, seed=2**200, fmt="json")
 def test_algebra_check_argv_exits_0_with_finite_output_or_2(n_random, seed, fmt):
-    _assert_finite_or_2_naming_a_flag(("algebra-check", f"--n-random={n_random}", f"--seed={seed}", f"--format={fmt}"))
+    _assert_finite_or_2_with_one_line(("algebra-check", f"--n-random={n_random}", f"--seed={seed}", f"--format={fmt}"))
 
 
 @settings(max_examples=100, deadline=None)
@@ -954,7 +1019,7 @@ def test_algebra_check_argv_exits_0_with_finite_output_or_2(n_random, seed, fmt)
 @example(top_k=0, fmt="csv")
 @example(top_k=10**6 + 1, fmt="json")
 def test_match_argv_exits_0_with_finite_output_or_2(top_k, fmt):
-    _assert_finite_or_2_naming_a_flag(("match", "--catalog", CATALOG_576, f"--top-k={top_k}", f"--format={fmt}"))
+    _assert_finite_or_2_with_one_line(("match", "--catalog", CATALOG_576, f"--top-k={top_k}", f"--format={fmt}"))
 
 
 # --- whole-domain input-file properties ---------------------------------------------
@@ -967,8 +1032,11 @@ _JSON_VALUE = st.one_of(
     # positive numbers, the one kind of value that can pass, get a branch of their own
     st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent),
     _LOG_UNIFORM,
-    st.sampled_from(("nan", "1e999", None, True)),
+    st.sampled_from(("nan", "1e999", "576", None, True)),
+    # text that some catalog field accepts
+    st.sampled_from(("U+Pb", "Pb+Pb", "U+Xx", "U", "Pb", "K", "L1", "+", "-", "sum", "")),
     st.lists(_LOG_UNIFORM, max_size=2),
+    st.lists(st.sampled_from(("published_theta_inconsistent", "K")), max_size=2),
     st.dictionaries(st.just("x"), _LOG_UNIFORM, max_size=1),
 )
 
@@ -994,17 +1062,23 @@ def input_dir(tmp_path_factory):
 @settings(max_examples=100, deadline=None)
 @given(
     observable=st.sampled_from(("pair_sum_kinetic", "positron_energy")),
-    fields=_overrides("observed_keV", "uncertainty_keV", "x_mev_per_u", "published_theory_at_45_keV", "published_theta_deg"),
+    fields=_overrides(
+        "observed_keV", "uncertainty_keV", "x_mev_per_u", "published_theory_at_45_keV", "published_theta_deg",
+        "system", "ion", "upper", "lower", "branch", "flags", "spectrometer",
+    ),
 )
 @example(observable="pair_sum_kinetic", fields={})
 # the nulls of test_bad_input_file_field_exits_2_naming_it
 @example(observable="pair_sum_kinetic", fields={"observed_keV": None})
 @example(observable="positron_energy", fields={"x_mev_per_u": None})
+@example(observable="pair_sum_kinetic", fields={"ion": "Pb", "upper": "K", "lower": "L1", "branch": "-", "flags": ["K"]})
+# T_lab overflows: the message named no entry
+@example(observable="pair_sum_kinetic", fields={"x_mev_per_u": 1.7e308})
 def test_catalog_entry_exits_0_with_finite_output_or_2(input_dir, observable, fields):
     (record,) = json.loads(Path(CATALOG_576).read_text())
     path = input_dir / "catalog.json"
     path.write_text(json.dumps([{**record, "observable": observable, **fields}]))
-    _assert_finite_or_2(("match", "--catalog", str(path), "--top-k", "2"))
+    _assert_finite_or_2_with_one_line(("match", "--catalog", str(path), "--top-k", "2"), prefix="error: catalog entry 0: ")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

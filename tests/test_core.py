@@ -13,6 +13,7 @@ from diracpair.core import (
     DEFAULT_CONSTANTS,
     bisect_root,
     energy_of_momentum,
+    json_field,
     load_constants,
     require_finite,
 )
@@ -91,6 +92,47 @@ def test_load_constants(tmp_path):
     path.write_text(json.dumps({"m_keV": 511.0}))
     with pytest.raises(ValueError):
         load_constants(path)
+
+
+def test_json_field_absent_and_null():
+    obj = {"a": None}
+    # required: fails when absent, and on null
+    with pytest.raises(ValueError, match="^b is missing"):
+        json_field(obj, "b", float)
+    with pytest.raises(ValueError, match="^a must be a finite number, got None"):
+        json_field(obj, "a", float)
+    # defaulted: the default when absent, fails on null
+    assert json_field(obj, "b", str, "x") == "x"
+    with pytest.raises(ValueError, match="^a must be a JSON string"):
+        json_field(obj, "a", str, "x")
+    # optional: None when absent or null
+    assert json_field(obj, "a", float, None) is None
+    assert json_field(obj, "b", float, None) is None
+
+
+@pytest.mark.parametrize(
+    "kind, good, bad",
+    [
+        (float, [1, 2.5, -3, sys.float_info.max], [True, False, "1", "nan", math.nan, math.inf, 10**400, [1], {}]),
+        (str, ["", "U+Pb"], [1, None, True, ["U"]]),
+        (bool, [True, False], [0, 1, "no", None]),
+        (list, [[], ["a", "b"]], [["a", 1], "a", ("a",), None]),
+    ],
+)
+def test_json_field_kinds(kind, good, bad):
+    for value in good:
+        got = json_field({"k": value}, "k", kind)
+        assert got == value and (type(got) is float if kind is float else got is value)
+    for value in bad:
+        with pytest.raises(ValueError, match="^label must be"):
+            json_field({"k": value}, "k", kind, label="label")
+
+
+def test_json_field_positive():
+    assert json_field({"k": 5e-324}, "k", float, positive=True) == 5e-324
+    for value in (0, 0.0, -1.0):
+        with pytest.raises(ValueError, match="^k must be a finite positive number"):
+            json_field({"k": value}, "k", float, positive=True)
 
 
 def test_bisect_root():
