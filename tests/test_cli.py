@@ -991,14 +991,27 @@ def test_transitions_argv_exits_0_with_finite_output_or_2(ion, fmt):
     _assert_finite_or_2(("transitions", f"--ion={ion}", f"--format={fmt}"))
 
 
-def _assert_finite_or_2_with_one_line(argv, prefix="error: --"):
-    """Exit 0 with finite output, or exit 2 with one stderr line that starts with ``prefix`` (by default, a flag)."""
+def _assert_finite_or_2_with_one_line(argv, prefix="error: --", label=None):
+    """Exit 0 with finite output, or exit 2 with one stderr line that starts with ``prefix`` (by default, a flag).
+
+    ``label``, when given, is free text that every CSV row echoes in its
+    second cell (``"nan"`` is a valid spectrometer name): each row must carry
+    it there, and the finiteness check reads every cell but that one.
+    """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     assert code in (0, 2), argv
     if code == 0:
-        assert not re.search(r"\b(nan|inf|infinity)\b", out.getvalue(), re.IGNORECASE), argv
+        lines = out.getvalue().splitlines()
+        if label is not None:
+            # the comment lines, then the column names, then the rows
+            first_row = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+            for i in range(first_row, len(lines)):
+                first, rest = lines[i].split(",", 1)
+                assert rest.startswith(label + ","), (argv, lines[i])
+                lines[i] = first + "," + rest[len(label) + 1 :]
+        assert not re.search(r"\b(nan|inf|infinity)\b", "\n".join(lines), re.IGNORECASE), argv
     else:
         assert err.getvalue().startswith(prefix) and err.getvalue().count("\n") == 1, (argv, err.getvalue())
 
@@ -1074,11 +1087,15 @@ def input_dir(tmp_path_factory):
 @example(observable="pair_sum_kinetic", fields={"ion": "Pb", "upper": "K", "lower": "L1", "branch": "-", "flags": ["K"]})
 # T_lab overflows: the message named no entry
 @example(observable="pair_sum_kinetic", fields={"x_mev_per_u": 1.7e308})
+# a spectrometer named "nan" is echoed as it is, and is no number
+@example(observable="pair_sum_kinetic", fields={"spectrometer": "nan"})
 def test_catalog_entry_exits_0_with_finite_output_or_2(input_dir, observable, fields):
     (record,) = json.loads(Path(CATALOG_576).read_text())
+    entry = {**record, "observable": observable, **fields}
     path = input_dir / "catalog.json"
-    path.write_text(json.dumps([{**record, "observable": observable, **fields}]))
-    _assert_finite_or_2_with_one_line(("match", "--catalog", str(path), "--top-k", "2"), prefix="error: catalog entry 0: ")
+    path.write_text(json.dumps([entry]))
+    argv = ("match", "--catalog", str(path), "--top-k", "2")
+    _assert_finite_or_2_with_one_line(argv, prefix="error: catalog entry 0: ", label=entry.get("spectrometer", ""))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
