@@ -18,7 +18,6 @@ from .core import Constants, DEFAULT_CONSTANTS, energy_of_momentum
 
 __all__ = [
     "DiracMatrices",
-    "FieldConfig",
     "appendix_identities",
     "build_matrices",
     "casimir_projectors",
@@ -43,7 +42,6 @@ _PAULI = (
 )
 _I2 = np.eye(2, dtype=complex)
 _I4 = np.eye(4, dtype=complex)
-_TINY = np.finfo(float).tiny
 _E_CHARGE = -1.0  # the electron's charge e, in units of the elementary charge
 
 
@@ -57,14 +55,6 @@ class DiracMatrices:
 
     alpha: tuple[np.ndarray, np.ndarray, np.ndarray]
     beta: np.ndarray
-
-
-@dataclass(frozen=True)
-class FieldConfig:
-    """Constant external fields: vector potential A (keV) and scalar Phi (keV), seen by a charge e = -1."""
-
-    A: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    Phi: float = 0.0
 
 
 def build_matrices() -> DiracMatrices:
@@ -119,15 +109,15 @@ def _rel_residual(a: np.ndarray, b: np.ndarray) -> float:
 def energy_p(p, constants: Constants = DEFAULT_CONSTANTS) -> float:
     """E_p = sqrt(p.p + m^2) for a momentum 3-vector p (keV), without a numpy warning.
 
-    Raises ValueError naming m_e_keV when p.p + m^2 is not a finite normal
-    float: an E_p that overflows, or one that underflows and keeps too few
-    bits for the identities that divide by it.
+    Constants keeps m^2 a normal float, so p.p + m^2 cannot underflow.
+    Raises ValueError naming m_e_keV when p.p + m^2 overflows or is not a
+    number.
     """
     m = constants.m
     with np.errstate(over="ignore", under="ignore"):
         e2 = float(p @ p + m * m)
-    if not _TINY <= e2 < np.inf:
-        raise ValueError(f"m_e_keV={m!r} gives p.p + m^2 = {e2!r}, which is not a finite normal float")
+    if not e2 < np.inf:
+        raise ValueError(f"m_e_keV={m!r} gives p.p + m^2 = {e2!r}, which is not a finite float")
     return float(np.sqrt(e2))
 
 
@@ -140,10 +130,10 @@ def free_hamiltonian(m: DiracMatrices, p, constants: Constants = DEFAULT_CONSTAN
     return h
 
 
-def interaction_hamiltonian(m: DiracMatrices, fields: FieldConfig) -> np.ndarray:
-    """H1 = -e alpha . A + e Phi for constant external fields."""
-    h = _E_CHARGE * fields.Phi * _I4
-    for ai, Ai in zip(m.alpha, fields.A):
+def interaction_hamiltonian(m: DiracMatrices, A=(0.0, 0.0, 0.0), Phi: float = 0.0) -> np.ndarray:
+    """H1 = -e alpha . A + e Phi for constant external fields A and Phi (keV)."""
+    h = _E_CHARGE * Phi * _I4
+    for ai, Ai in zip(m.alpha, A):
         h = h - _E_CHARGE * Ai * ai
     return h
 
@@ -256,13 +246,15 @@ def _similar(u: np.ndarray, op: np.ndarray) -> np.ndarray:
 
 def transformation_checks(
     p,
-    fields: FieldConfig | None = None,
+    A=(0.0, 0.0, 0.0),
+    Phi: float = 0.0,
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> dict[str, float]:
     """Verify the C/P/tau laws for H0, sgn(E), H1, and both coupled Hamiltonians.
 
-    Returns a dict of relative residuals.  All laws are phase-insensitive
-    similarity statements:
+    A (a 3-vector) and Phi are constant external fields in keV, seen by a
+    charge e = -1.  Returns a dict of relative residuals.  All laws are
+    phase-insensitive similarity statements:
 
     - C H0(p) C^-1 = -H0(-p), P H0(p) P^-1 = H0(-p), tau H0(p) tau^-1 = -H0(-p)
       (the same three signs hold for sgn(E));
@@ -272,22 +264,19 @@ def transformation_checks(
     - D1 breakdown: C (H0(p) + H1) C^-1 = -(H0(-p) - H1), an exact sign flip
       of the interaction block.
     """
-    if fields is None:
-        fields = FieldConfig()
     mats = build_matrices()
     c = find_conjugation_matrix(mats, constants)
     par = mats.beta
     tau = 1.0j * c
 
     p = np.asarray(p, dtype=float)
+    A = np.asarray(A, dtype=float)
     h0 = free_hamiltonian(mats, p, constants)
     h0_flip = free_hamiltonian(mats, -p, constants)
     sgn = sign_energy(p, constants)
     sgn_flip = sign_energy(-p, constants)
-    h1 = interaction_hamiltonian(mats, fields)
-    h1_parity = interaction_hamiltonian(
-        mats, FieldConfig(A=tuple(-a for a in fields.A), Phi=fields.Phi)
-    )
+    h1 = interaction_hamiltonian(mats, A, Phi)
+    h1_parity = interaction_hamiltonian(mats, -A, Phi)
 
     out: dict[str, float] = {}
     out["C_H0"] = _rel_residual(_similar(c, h0.conj()), -h0_flip)
@@ -308,7 +297,8 @@ def transformation_checks(
 
 def appendix_identities(
     p,
-    fields: FieldConfig | None = None,
+    A=(0.0, 0.0, 0.0),
+    Phi: float = 0.0,
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> dict[str, float]:
     """Operator identities behind the equations of motion, for constant fields.
@@ -321,13 +311,11 @@ def appendix_identities(
 
     Returns relative residuals per identity (worst component).
     """
-    if fields is None:
-        fields = FieldConfig()
     mats = build_matrices()
     p = np.asarray(p, dtype=float)
-    kin = p - _E_CHARGE * np.asarray(fields.A, dtype=float)  # kinetic momentum p - eA
+    kin = p - _E_CHARGE * np.asarray(A, dtype=float)  # kinetic momentum p - eA
     h_kin = free_hamiltonian(mats, kin, constants)
-    h = h_kin + _E_CHARGE * fields.Phi * _I4
+    h = h_kin + _E_CHARGE * Phi * _I4
 
     worst_a3 = 0.0
     for i, ai in enumerate(mats.alpha):

@@ -171,12 +171,13 @@ def _cmd_algebra_check(args, constants) -> int:
             keep("conjugation_spinor_map", np.max(np.abs(b_plus @ mapped - mapped)))
     for _ in range(args.n_random):
         p = rng.uniform(-4.0, 4.0, size=3) * constants.m
-        fields = algebra.FieldConfig(A=tuple(rng.uniform(-2.0, 2.0, size=3) * constants.m), Phi=float(rng.uniform(-2.0, 2.0) * constants.m))
+        A = rng.uniform(-2.0, 2.0, size=3) * constants.m
+        Phi = float(rng.uniform(-2.0, 2.0) * constants.m)
         for axis in range(3):
             keep("charge_current", algebra.charge_current_identity(p, axis, constants))
-        for name, value in algebra.transformation_checks(p, fields, constants).items():
+        for name, value in algebra.transformation_checks(p, A, Phi, constants).items():
             keep(f"transform_{name}", value)
-        for name, value in algebra.appendix_identities(p, fields, constants).items():
+        for name, value in algebra.appendix_identities(p, A, Phi, constants).items():
             keep(f"appendix_{name}", value)
     tol = 1e-10
     payload = {name: worst[name] for name in sorted(worst)}
@@ -268,7 +269,7 @@ def _cmd_zbw(args, constants) -> int:
     from . import wavepacket
 
     with _flags("--dwidth", "--p0"):
-        packet = wavepacket.gaussian_amplitudes(wavepacket.GaussianSpec(args.dwidth), center=args.p0, constants=constants)
+        packet = wavepacket.gaussian_amplitudes(args.dwidth, center=args.p0, constants=constants)
         charge = wavepacket.charge_current(packet, constants)
         extra = {"neg_energy_fraction": wavepacket.negative_energy_fraction(packet)}
     times = np.linspace(0.0, args.tmax, args.tsteps)
@@ -354,8 +355,8 @@ def _cmd_counting_time(args, constants) -> int:
         raise ValueError("need 0 < xmin < xmax")
     with _flags("--x0"):
         x_opt, tau_min = decaymodel.optimal_current(args.x0)
-        # relative pair yield at the optimum current (sigma0 = eta = 1 units)
-        sigma_opt = decaymodel.pair_cross_section(x_opt, decaymodel.DecayParams(x0=args.x0))
+        # relative pair yield sigma_ep/sigma0 at the optimum current
+        sigma_opt = decaymodel.pair_cross_section(x_opt, args.x0)
     xs = np.linspace(args.xmin, args.xmax, args.steps)
     with _flags("--x0", "--xmin", "--xmax"):
         columns = {
@@ -378,8 +379,7 @@ def _cmd_lineshape(args, constants) -> int:
         raise ValueError("--tmin, --tmax: need tmin < tmax and a finite tmax - tmin")
     ts = np.linspace(args.tmin, args.tmax, args.steps)
     with _flags("--deps", "--tmin", "--tmax", "--scale", "--shift", "--bin-width"):
-        params = decaymodel.LineShapeParams(density_scale=args.scale, delta_eps_shift=args.shift, bin_width=args.bin_width)
-        dens = decaymodel.threshold_lineshape(ts, args.deps, params)
+        dens = decaymodel.threshold_lineshape(ts, args.deps, args.scale, args.shift, args.bin_width)
     _emit(args, constants, {"T_sum_keV": ts.tolist(), "density": dens.tolist()})
     return 0
 

@@ -21,13 +21,10 @@ bin-averaged cap inside the first bin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "DecayParams",
-    "LineShapeParams",
     "counting_time",
     "optimal_current",
     "pair_cross_section",
@@ -35,41 +32,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DecayParams:
-    """Parameters of the current-dependent pair yield."""
-
-    sigma0: float = 1.0  # cross-section scale, arbitrary units
-    x0: float = 1.0  # (R_phi + R_ep)/R_ep, dimensionless
-    eta: float = 1.0  # converts beam current to the dimensionless x
-
-    def __post_init__(self) -> None:
-        if self.x0 < 1.0:
-            raise ValueError("x0 = (R_phi + R_ep)/R_ep cannot be below 1")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
+def _require_x0(x0: float) -> None:
+    """x0 = (R_phi + R_ep)/R_ep is a finite ratio of rates, at least 1."""
+    if not 1.0 <= x0 < math.inf:
+        raise ValueError("x0 = (R_phi + R_ep)/R_ep cannot be below 1")
 
 
-@dataclass(frozen=True)
-class LineShapeParams:
-    """Threshold line-shape parameters; density_scale absorbs the matrix element."""
-
-    density_scale: float = 1.0
-    delta_eps_shift: float = 0.0  # keV; kinetic-energy offset, zero near threshold
-    bin_width: float = 1.0  # keV; regularization bin for the integrable edge
-
-    def __post_init__(self) -> None:
-        if self.density_scale <= 0.0:
-            raise ValueError("density_scale must be positive")
-        if self.bin_width <= 0.0:
-            raise ValueError("bin_width must be positive")
-
-
-def pair_cross_section(current: float, params: DecayParams) -> float:
-    """sigma_ep(J) = sigma0 / (x0 + eta J); strictly decreasing in the current."""
+def pair_cross_section(current: float, x0: float) -> float:
+    """sigma_ep/sigma0 = 1/(x0 + x) at dimensionless current x; strictly decreasing in x."""
+    _require_x0(x0)
     if current < 0.0:
         raise ValueError("beam current cannot be negative")
-    return params.sigma0 / (params.x0 + params.eta * current)
+    return 1.0 / (x0 + current)
 
 
 def counting_time(x, x0: float = 1.0, mode: str = "metastable"):
@@ -79,9 +53,11 @@ def counting_time(x, x0: float = 1.0, mode: str = "metastable"):
     (x0 + x)^2 / x, minimized at x = x0 and rising for stronger beams.
     Accepts a scalar or an array of currents; the square is the correctly
     rounded y * y, y = x0 + x, so an array gives each element's scalar
-    value exactly.  Raises ValueError for any current that is not a positive
-    finite number and for any time beyond the float range.
+    value exactly.  Raises ValueError for an x0 that is not finite and at
+    least 1, for any current that is not a positive finite number and for
+    any time beyond the float range.
     """
+    _require_x0(x0)
     xs = np.asarray(x, dtype=float)
     if not np.all((xs > 0.0) & (xs < math.inf)):
         raise ValueError("dimensionless current must be positive and finite")
@@ -95,40 +71,51 @@ def counting_time(x, x0: float = 1.0, mode: str = "metastable"):
             raise ValueError(f"mode must be 'baseline' or 'metastable', got {mode!r}")
     if not np.all(np.isfinite(out)):
         raise ValueError("counting time is beyond the float range")
-    if np.isscalar(x):
+    if np.ndim(x) == 0:
         return float(out)
     return out
 
 
 def optimal_current(x0: float) -> tuple[float, float]:
     """Minimum of the metastable counting time: at x = x0 with tau = 4 x0."""
-    if x0 <= 0.0:
-        raise ValueError("x0 must be positive")
+    _require_x0(x0)
     return x0, 4.0 * x0
 
 
-def threshold_lineshape(t_sum, delta_eps: float, params: LineShapeParams):
+def threshold_lineshape(
+    t_sum,
+    delta_eps: float,
+    density_scale: float = 1.0,
+    delta_eps_shift: float = 0.0,
+    bin_width: float = 1.0,
+):
     """Pair-sum spectral density scale * step(x)/sqrt(x), x = T_sum - delta_eps + shift.
 
-    Below threshold the density vanishes; within the first bin [0, bin_width]
-    the integrable divergence is reported as its bin average
+    ``density_scale`` absorbs the matrix element; ``delta_eps_shift`` (keV)
+    is a kinetic-energy offset, zero near threshold.  Below threshold the
+    density vanishes; within the first bin [0, bin_width] (keV) the
+    integrable divergence is reported as its bin average
     2 * scale / sqrt(bin_width), which preserves the integral exactly.
     Accepts a scalar or an array of T_sum values (keV).  Raises ValueError
-    when the cap or any x is not a finite float.
+    when the scale or the bin width is not positive, or when the cap or any
+    x is not a finite float.
     """
+    if density_scale <= 0.0:
+        raise ValueError("density_scale must be positive")
+    if bin_width <= 0.0:
+        raise ValueError("bin_width must be positive")
     t = np.asarray(t_sum, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        x = t - delta_eps + params.delta_eps_shift
-    eps = params.bin_width
-    cap = 2.0 * params.density_scale / math.sqrt(eps)
+        x = t - delta_eps + delta_eps_shift
+    cap = 2.0 * density_scale / math.sqrt(bin_width)
     if not math.isfinite(cap):
         raise ValueError("edge cap 2*scale/sqrt(bin_width) is beyond the float range")
     if not np.all(np.isfinite(x)):
         raise ValueError("x = T_sum - delta_eps + shift must be finite")
     # an overflowing tail lies inside the first bin, where the cap replaces it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tail = params.density_scale / np.sqrt(np.where(x > 0.0, x, np.inf))
-    out = np.where(x < 0.0, 0.0, np.where(x <= eps, cap, tail))
-    if np.isscalar(t_sum):
+        tail = density_scale / np.sqrt(np.where(x > 0.0, x, np.inf))
+    out = np.where(x < 0.0, 0.0, np.where(x <= bin_width, cap, tail))
+    if np.ndim(t_sum) == 0:
         return float(out)
     return out

@@ -182,7 +182,9 @@ def candidate_transitions(
     """All (ion, transition, branch) candidates for a collision system.
 
     Cross product of the two ions, the default shell pairs, and both branch
-    signs, each with its pair-sum theory value at 45 degrees.
+    signs, each with its pair-sum theory value at 45 degrees.  T_lab is
+    monotone in the angle, so evaluating each at the angle scan's ends (0.1
+    and 90 degrees) raises here for a beam energy that any solve would overflow.
     """
     boost = boost_from_beam_energy(x)
     ions = [beam] if beam.symbol == target.symbol else [beam, target]
@@ -191,6 +193,8 @@ def candidate_transitions(
         for up, lo in pairs:
             tr = pair_transition_energy(ion, Shell.from_label(up), Shell.from_label(lo), constants)
             for branch in ("+", "-"):
+                for theta_deg in (0.1, 90.0):
+                    lab_pair_energy(boost, tr.delta_eps, math.radians(theta_deg), branch, constants)
                 out.append(
                     Candidate(
                         ion=ion,

@@ -34,7 +34,6 @@ from .core import Constants, DEFAULT_CONSTANTS, energy_of_momentum, require_fini
 _PHASE_BLOCK = 1 << 13
 
 __all__ = [
-    "GaussianSpec",
     "Packet",
     "charge_current",
     "default_grid",
@@ -43,16 +42,6 @@ __all__ = [
     "probability_current",
     "zitterbewegung_weight",
 ]
-
-
-@dataclass(frozen=True)
-class GaussianSpec:
-    """Gaussian packet parameters: position-space confinement width d (1/keV)."""
-
-    d_width: float
-
-    def __post_init__(self) -> None:
-        require_finite("d_width", self.d_width, positive=True)
 
 
 @dataclass(frozen=True)
@@ -88,13 +77,13 @@ def default_grid(d_width: float, constants: Constants = DEFAULT_CONSTANTS) -> np
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow leaves a nan grid or loss or an infinite E_q, rejected below
 def gaussian_amplitudes(
-    spec: GaussianSpec,
+    d_width: float,
     grid: np.ndarray | None = None,
     center: float = 0.0,
     d_scale: float = 1.0,
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> Packet:
-    """Packet for a Gaussian of confinement width d, optionally boosted to ``center``.
+    """Packet for a Gaussian of confinement width d (1/keV), optionally boosted to ``center``.
 
     b(q) ~ exp(-(q - center)^2 d^2 / 2) and dstar(q) = b(q) q / (E_q + m); the
     ratio grows toward 1 only when q approaches m, so wide packets are almost
@@ -104,19 +93,20 @@ def gaussian_amplitudes(
     the grid, a spacing wider than the packet's momentum width 1/d, or an
     estimated normalization loss > 1e-6.
     """
+    require_finite("d_width", d_width, positive=True)
     require_finite("center", center)
     if grid is None:
-        grid = default_grid(spec.d_width, constants=constants)
+        grid = default_grid(d_width, constants=constants)
     grid = np.asarray(grid, dtype=float)
-    reach = 6.0 / spec.d_width
+    reach = 6.0 / d_width
     if not grid[0] + reach <= center <= grid[-1] - reach:
         raise ValueError("grid too narrow: it must cover center +- 6/d_width")
     dp = float(grid[1] - grid[0])
-    if dp * spec.d_width > 1.0:
+    if dp * d_width > 1.0:
         raise ValueError("grid too coarse to resolve the packet: need a spacing of at most 1/d_width")
     m = constants.m
     e = energy_of_momentum(grid, constants)
-    b = np.exp(-0.5 * (grid - center) ** 2 * spec.d_width**2).astype(complex)
+    b = np.exp(-0.5 * (grid - center) ** 2 * d_width**2).astype(complex)
     dstar = d_scale * b * grid / (e + m)
     density = np.abs(b) ** 2 + np.abs(dstar) ** 2
     total = np.sum(density) * dp

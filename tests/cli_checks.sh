@@ -112,3 +112,17 @@ for args in "counting-time --x0 1 --xmin 0.1 --xmax 10 --steps 200" \
   PYTHONHASHSEED=2 $DIRACPAIR $args > "$TMP/second.out"
   cmp "$TMP/first.out" "$TMP/second.out"
 done
+
+# A beam energy whose angle solve overflows exits 2 whatever --top-k ranks:
+# at --top-k 1 and 2 it exited 0, since only lower-ranked candidates
+# overflowed at 90 degrees
+echo '[{"system": "U+Pb", "spectrometer": "sum", "observable": "pair_sum_kinetic", "observed_keV": 576, "x_mev_per_u": 1e308}]' > "$TMP/fast.json"
+for top in "--top-k 1" ""; do
+  code=0
+  $DIRACPAIR match --catalog "$TMP/fast.json" $top > "$TMP/out" 2> "$TMP/err" || code=$?
+  cat "$TMP/err"
+  test "$code" -eq 2
+  test ! -s "$TMP/out"
+  test "$(wc -l < "$TMP/err")" -eq 1
+  grep -q '^error: catalog entry 0: x_mev_per_u' "$TMP/err"
+done

@@ -171,9 +171,7 @@ def test_criterion_07_algebra_identities():
     worst = max(worst, float(np.max(np.abs(conj @ mats.beta.conj() @ cinv + mats.beta))))
     for _ in range(100):
         p = rng.uniform(-4.0, 4.0, size=3) * M
-        fields = algebra.FieldConfig(
-            A=tuple(rng.uniform(-2.0, 2.0, size=3) * M), Phi=float(rng.uniform(-2.0, 2.0) * M)
-        )
+        A, Phi = rng.uniform(-2.0, 2.0, size=3) * M, float(rng.uniform(-2.0, 2.0) * M)
         b_plus, b_minus = algebra.casimir_projectors(p)
         worst = max(worst, float(np.max(np.abs(b_plus @ b_plus - b_plus))))
         worst = max(worst, float(np.max(np.abs(b_plus + b_minus - np.eye(4)))))
@@ -182,20 +180,20 @@ def test_criterion_07_algebra_identities():
         worst = max(worst, float(np.max(np.abs((b_plus - b_minus) - h / e))))
         for axis in range(3):
             worst = max(worst, algebra.charge_current_identity(p, axis))
-        worst = max(worst, max(algebra.transformation_checks(p, fields).values()))
-        worst = max(worst, max(algebra.appendix_identities(p, fields).values()))
+        worst = max(worst, max(algebra.transformation_checks(p, A, Phi).values()))
+        worst = max(worst, max(algebra.appendix_identities(p, A, Phi).values()))
     assert worst < tol
     _ok("criterion 7", f"all operator identities, max residual {worst:.2e}")
 
 
 def test_criterion_08_wave_packet():
     # positive-only packet: current constant over t in [0, 100/m]
-    pos = wavepacket.gaussian_amplitudes(wavepacket.GaussianSpec(d_width=3.0 / M), center=0.7 * M, d_scale=0.0)
+    pos = wavepacket.gaussian_amplitudes(3.0 / M, center=0.7 * M, d_scale=0.0)
     j0 = wavepacket.probability_current(pos, 0.0)
     currents = wavepacket.probability_current(pos, np.linspace(0.0, 100.0 / M, 21))
     assert np.max(np.abs(currents - j0)) < 1e-9
     # mixed packet: interference line within 1% of 2 E at the spectral peak
-    mixed = wavepacket.gaussian_amplitudes(wavepacket.GaussianSpec(d_width=6.0 / M), center=2.0 * M)
+    mixed = wavepacket.gaussian_amplitudes(6.0 / M, center=2.0 * M)
     qstar = float(mixed.p_grid[np.argmax(np.abs(wavepacket.zitterbewegung_weight(mixed)))])
     omega_expected = 2.0 * float(energy_of_momentum(qstar))
     dt, n = 0.05 / M, 4096
@@ -210,7 +208,7 @@ def test_criterion_08_wave_packet():
     assert wavepacket.charge_current(mixed.evolve(1000.0 / M)) == pytest.approx(j_charge, rel=1e-12)
     # amplitude ratio at p = m
     grid = np.linspace(-8 * M, 8 * M, 4097)
-    pk = wavepacket.gaussian_amplitudes(wavepacket.GaussianSpec(d_width=1.0 / M), grid=grid)
+    pk = wavepacket.gaussian_amplitudes(1.0 / M, grid=grid)
     i = int(np.argmin(np.abs(pk.p_grid - M)))
     ratio = (pk.dstar[i] / pk.b[i]).real
     assert abs(ratio - 1.0 / (1.0 + math.sqrt(2.0))) < 1e-12

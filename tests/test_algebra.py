@@ -165,16 +165,13 @@ def test_charge_current_identity_random_sweep():
 def random_fields(n, seed=0):
     rng = np.random.default_rng(seed)
     for _ in range(n):
-        yield algebra.FieldConfig(
-            A=tuple(rng.uniform(-2.0, 2.0, size=3) * M),
-            Phi=float(rng.uniform(-2.0, 2.0) * M),
-        )
+        yield rng.uniform(-2.0, 2.0, size=3) * M, float(rng.uniform(-2.0, 2.0) * M)
 
 
 def test_transformation_laws_random():
     worst = 0.0
     for p, fields in zip(random_momenta(25, seed=7), random_fields(25, seed=8)):
-        res = algebra.transformation_checks(p, fields)
+        res = algebra.transformation_checks(p, *fields)
         worst = max(worst, max(res.values()))
     assert worst < TOL
 
@@ -188,10 +185,9 @@ def test_d1_breakdown_is_exact_sign_flip(mats, conj):
     # C(H0 + H1)C^-1 equals -(H0(-p) - H1) and differs from -(H0(-p) + H1)
     # by exactly 2 H1
     p = np.array([0.8, 0.1, -0.5]) * M
-    fields = algebra.FieldConfig(A=(300.0, -100.0, 40.0), Phi=90.0)
     h0 = algebra.free_hamiltonian(mats, p)
     h0f = algebra.free_hamiltonian(mats, -p)
-    h1 = algebra.interaction_hamiltonian(mats, fields)
+    h1 = algebra.interaction_hamiltonian(mats, (300.0, -100.0, 40.0), 90.0)
     cinv = np.linalg.inv(conj)
     lhs = conj @ (h0 + h1).conj() @ cinv
     assert np.max(np.abs(lhs + (h0f - h1))) / (1.0 + np.max(np.abs(h0f))) < TOL
@@ -200,14 +196,14 @@ def test_d1_breakdown_is_exact_sign_flip(mats, conj):
 
 
 def test_appendix_identities_trivial_case():
-    res = algebra.appendix_identities(np.zeros(3), algebra.FieldConfig())
+    res = algebra.appendix_identities(np.zeros(3))
     assert max(res.values()) < TOL
 
 
 def test_appendix_identities_random():
     worst = 0.0
     for p, fields in zip(random_momenta(25, seed=9), random_fields(25, seed=10)):
-        res = algebra.appendix_identities(p, fields)
+        res = algebra.appendix_identities(p, *fields)
         worst = max(worst, max(res.values()))
     assert worst < TOL
 

@@ -381,6 +381,24 @@ def test_match_names_the_entry_whose_beam_energy_overflows(tmp_path, capsys):
     assert err.startswith("error: catalog entry 1: x_mev_per_u: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("top_k", [None, 1, 2, 3, 4, 5, 6, 28])
+def test_match_exits_the_same_way_for_every_top_k(tmp_path, capsys, top_k):
+    # at 1e308 the 45-degree ranking is finite but 26 of the 28 candidates
+    # overflow at 90 degrees: --top-k 1 and 2 exited 0, 3 and above exited 2
+    (record,) = json.loads(Path(CATALOG_576).read_text())
+    top = () if top_k is None else ("--top-k", str(top_k))
+    for x, code_expected in ((1e308, 2), (5e307, 0)):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([{**record, "x_mev_per_u": x}]))
+        code, out, err = run_cli(capsys, "match", "--catalog", str(path), *top)
+        assert code == code_expected, (x, err)
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: catalog entry 0: x_mev_per_u: ") and err.count("\n") == 1, err
+        else:
+            assert err == "" and len(out.splitlines()) == 2 + (top_k or 6)
+
+
 def test_reproduce_tables_that_fail_their_check_exit_3(tmp_path, capsys):
     # a mass inside the domain, far from the electron's: the full table and exit 1 with empty stderr
     path = tmp_path / "constants.json"

@@ -9,38 +9,57 @@ from diracpair import decaymodel as dm
 
 
 def test_cross_section_at_zero_current():
-    p = dm.DecayParams(sigma0=2.0, x0=1.5)
-    assert dm.pair_cross_section(0.0, p) == pytest.approx(2.0 / 1.5, rel=1e-15)
+    assert dm.pair_cross_section(0.0, 1.5) == pytest.approx(1.0 / 1.5, rel=1e-15)
 
 
 def test_cross_section_vanishes_at_large_current():
-    p = dm.DecayParams()
-    assert dm.pair_cross_section(1e12, p) < 1e-11
-    before = dm.pair_cross_section(1.0, p)
-    after = dm.pair_cross_section(2.0, p)
+    assert dm.pair_cross_section(1e12, 1.0) < 1e-11
+    before = dm.pair_cross_section(1.0, 1.0)
+    after = dm.pair_cross_section(2.0, 1.0)
     assert after < before
 
 
 def test_cross_section_ratio_identity():
     rng = np.random.default_rng(31)
-    p = dm.DecayParams(sigma0=3.0, x0=2.0, eta=0.7)
+    x0 = 2.0
     for _ in range(50):
         j1, j2 = rng.uniform(0.0, 50.0, size=2)
-        lhs = dm.pair_cross_section(j2, p) / dm.pair_cross_section(j1, p)
-        rhs = (p.x0 + p.eta * j1) / (p.x0 + p.eta * j2)
+        lhs = dm.pair_cross_section(j2, x0) / dm.pair_cross_section(j1, x0)
+        rhs = (x0 + j1) / (x0 + j2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_cross_section_rejects_negative_current():
     with pytest.raises(ValueError):
-        dm.pair_cross_section(-1.0, dm.DecayParams())
+        dm.pair_cross_section(-1.0, 1.0)
 
 
-def test_decay_params_validation():
-    with pytest.raises(ValueError):
-        dm.DecayParams(x0=0.5)
-    with pytest.raises(ValueError):
-        dm.DecayParams(eta=0.0)
+def test_every_decay_function_applies_one_x0_rule():
+    # counting_time took any x0 (x0 = 0.5 gave 2.25 at x = 1), optimal_current
+    # any x0 > 0, and only the cross section's parameters demanded x0 >= 1
+    calls = (
+        lambda x0: dm.counting_time(1.0, x0),
+        lambda x0: dm.counting_time(np.array([1.0, 2.0]), x0, "baseline"),
+        dm.optimal_current,
+        lambda x0: dm.pair_cross_section(1.0, x0),
+    )
+    for x0 in (0.5, 0.0, -1.0, math.nan, math.inf):
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^x0 = \(R_phi \+ R_ep\)/R_ep cannot be below 1$"):
+                call(x0)
+    assert dm.counting_time(2.0, 1.0) == 4.5
+    assert dm.counting_time(2.0, 1.0, "baseline") == 0.5
+    assert dm.optimal_current(1.0) == (1.0, 4.0)
+    assert dm.pair_cross_section(1.0, 1.0) == 0.5
+
+
+def test_zero_dimensional_arrays_give_floats():
+    # probability_current and barrier_transmission give a float for a 0-d
+    # array; these two gave np.float64 and a 0-d ndarray
+    for mode in ("baseline", "metastable"):
+        assert type(dm.counting_time(np.array(2.0), 1.0, mode)) is float
+    assert type(dm.threshold_lineshape(np.array(830.0), 818.8)) is float
+    assert dm.threshold_lineshape(np.array(830.0), 818.8) == dm.threshold_lineshape(830.0, 818.8)
 
 
 def test_counting_time_values():
@@ -74,8 +93,6 @@ def test_counting_time_fails_closed_on_overflow(x):
     # (x0 + x)**2 raised OverflowError here; y * y would give inf
     with pytest.raises(ValueError, match="float range"):
         dm.counting_time(x, 1e155)
-    with pytest.raises(ValueError, match="float range"):
-        dm.counting_time(x, math.nan)
 
 
 @settings(max_examples=100, deadline=None)
@@ -139,38 +156,33 @@ def test_crossover_sign():
 
 
 def test_lineshape_step():
-    p = dm.LineShapeParams(density_scale=1.0)
-    assert dm.threshold_lineshape(800.0, 818.8, p) == 0.0
-    assert dm.threshold_lineshape(818.8 - 1e-9, 818.8, p) == 0.0
+    assert dm.threshold_lineshape(800.0, 818.8, density_scale=1.0) == 0.0
+    assert dm.threshold_lineshape(818.8 - 1e-9, 818.8, density_scale=1.0) == 0.0
 
 
 def test_lineshape_inverse_sqrt_scaling():
-    p = dm.LineShapeParams(density_scale=1.0, bin_width=1.0)
-    d1 = dm.threshold_lineshape(818.8 + 1.0001, 818.8, p)
-    d4 = dm.threshold_lineshape(818.8 + 4.0004, 818.8, p)
+    d1 = dm.threshold_lineshape(818.8 + 1.0001, 818.8, density_scale=1.0, bin_width=1.0)
+    d4 = dm.threshold_lineshape(818.8 + 4.0004, 818.8, density_scale=1.0, bin_width=1.0)
     assert d4 == pytest.approx(d1 / 2.0, rel=1e-3)
 
 
 def test_lineshape_bin_cap():
-    p = dm.LineShapeParams(density_scale=3.0, bin_width=1.0)
     cap = 2.0 * 3.0 / 1.0
-    assert dm.threshold_lineshape(818.8, 818.8, p) == pytest.approx(cap, rel=1e-15)
-    assert dm.threshold_lineshape(818.8 + 0.5, 818.8, p) == pytest.approx(cap, rel=1e-15)
+    assert dm.threshold_lineshape(818.8, 818.8, density_scale=3.0, bin_width=1.0) == pytest.approx(cap, rel=1e-15)
+    assert dm.threshold_lineshape(818.8 + 0.5, 818.8, density_scale=3.0, bin_width=1.0) == pytest.approx(cap, rel=1e-15)
 
 
 def test_lineshape_shift_moves_threshold():
-    p = dm.LineShapeParams(density_scale=1.0, delta_eps_shift=5.0)
     # threshold sits at delta_eps - shift
-    assert dm.threshold_lineshape(818.8 - 6.0, 818.8, p) == 0.0
-    assert dm.threshold_lineshape(818.8 - 4.0, 818.8, p) > 0.0
+    assert dm.threshold_lineshape(818.8 - 6.0, 818.8, density_scale=1.0, delta_eps_shift=5.0) == 0.0
+    assert dm.threshold_lineshape(818.8 - 4.0, 818.8, density_scale=1.0, delta_eps_shift=5.0) > 0.0
 
 
 def test_lineshape_integral_matches_closed_form():
     # trapezoid quadrature of the rendered density against 2 * scale * sqrt(X)
-    p = dm.LineShapeParams(density_scale=3.0, bin_width=1.0)
     X = 100.0
     xs = np.linspace(0.0, X, 200001)
-    dens = dm.threshold_lineshape(818.8 + xs, 818.8, p)
+    dens = dm.threshold_lineshape(818.8 + xs, 818.8, density_scale=3.0, bin_width=1.0)
     integral = float(np.trapezoid(dens, xs))
     assert integral == pytest.approx(2.0 * 3.0 * np.sqrt(X), rel=1e-4)
 
@@ -179,20 +191,21 @@ def test_lineshape_integral_matches_closed_form():
     "t_sum, delta_eps, params",
     [
         # the edge cap 2*scale/sqrt(bin_width) overflows: returned inf
-        (800.0, 800.0, dm.LineShapeParams(density_scale=1e300, bin_width=1e-300)),
+        (800.0, 800.0, {"density_scale": 1e300, "bin_width": 1e-300}),
         # x = T_sum - delta_eps overflows: returned 0.0 where 7e145 is right
-        (1e308, -1e308, dm.LineShapeParams(density_scale=1e300)),
-        (np.array([800.0, math.nan]), 800.0, dm.LineShapeParams()),
+        (1e308, -1e308, {"density_scale": 1e300}),
+        (np.array([800.0, math.nan]), 800.0, {}),
+        (800.0, 800.0, {"density_scale": 0.0}),
+        (800.0, 800.0, {"bin_width": -1.0}),
     ],
 )
 def test_lineshape_fails_closed(t_sum, delta_eps, params):
     with pytest.raises(ValueError):
-        dm.threshold_lineshape(t_sum, delta_eps, params)
+        dm.threshold_lineshape(t_sum, delta_eps, **params)
 
 
 def test_lineshape_array_input():
-    p = dm.LineShapeParams()
     ts = np.array([800.0, 818.8, 830.0])
-    out = dm.threshold_lineshape(ts, 818.8, p)
+    out = dm.threshold_lineshape(ts, 818.8)
     assert out.shape == ts.shape
     assert out[0] == 0.0 and out[1] > 0.0

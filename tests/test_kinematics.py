@@ -206,6 +206,36 @@ def test_t_lab_increases_strictly_with_theta(x, deps, branch, a, b):
     assert t_lo < t_hi
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.floats(math.log(0.5), math.log(500.0)).map(math.exp),  # log-uniform MeV/u
+    deps=_transition_energies,
+    branch=_branches,
+    theta=st.floats(0.1, 90.0),
+    miss=st.integers(0, 9),
+    scale=st.floats(0.5, 1.5),
+)
+def test_solve_theta_finds_the_one_root_a_bisection_oracle_finds(x, deps, branch, theta, miss, scale):
+    # one target in ten is scaled, so that some fall out of reach.  T_lab is
+    # monotone in theta, so a root exists exactly when [0.1, 90] degrees
+    # brackets a sign change, and bisection over that bracket is the oracle.
+    boost = kin.boost_from_beam_energy(x)
+    target = kin.lab_pair_energy(boost, deps, math.radians(theta), branch).t_lab * (scale if miss == 0 else 1.0)
+    assume(target > 0.0)  # the "+" branch's T_lab is negative at small angles; solve_theta takes positive targets
+
+    def f(deg):
+        return kin.lab_pair_energy(boost, deps, math.radians(deg), branch).t_lab - target
+
+    lo, hi = f(0.1), f(90.0)
+    roots = kin.solve_theta(boost, deps, branch, target)
+    if (lo > 0.0) == (hi > 0.0) and lo != 0.0 and hi != 0.0:
+        assert roots == []
+    else:
+        oracle = bisect_root(f, 0.1, 90.0, 1e-9, fa=lo, fb=hi)
+        assert len(roots) == 1
+        assert abs(math.degrees(roots[0]) - oracle) <= 1e-4
+
+
 @pytest.mark.parametrize("branch", ["+", "-"])
 def test_lab_pair_energy_fails_closed_on_overflow(branch):
     # gamma_I delta_eps overflows: T_lab was inf

@@ -16,7 +16,7 @@ GRID_WITH_M = np.linspace(-8 * M, 8 * M, 4097)
 
 
 def test_amplitude_ratio_at_p_equals_m():
-    pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1.0 / M), grid=GRID_WITH_M)
+    pk = wp.gaussian_amplitudes(1.0 / M, grid=GRID_WITH_M)
     i = int(np.argmin(np.abs(pk.p_grid - M)))
     assert pk.p_grid[i] == pytest.approx(M, rel=1e-14)
     ratio = (pk.dstar[i] / pk.b[i]).real
@@ -24,47 +24,47 @@ def test_amplitude_ratio_at_p_equals_m():
 
 
 def test_amplitude_vanishes_at_zero_momentum():
-    pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1.0 / M), grid=GRID_WITH_M)
+    pk = wp.gaussian_amplitudes(1.0 / M, grid=GRID_WITH_M)
     i = int(np.argmin(np.abs(pk.p_grid)))
     assert pk.p_grid[i] == 0.0
     assert pk.dstar[i] == 0.0
 
 
 def test_packet_is_normalized():
-    pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=2.0 / M))
+    pk = wp.gaussian_amplitudes(2.0 / M)
     assert pk.density_sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grid_narrow_rejection():
     with pytest.raises(ValueError):
-        wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1.0 / M), grid=np.linspace(-4 * M, 4 * M, 512))
+        wp.gaussian_amplitudes(1.0 / M, grid=np.linspace(-4 * M, 4 * M, 512))
     # wide enough span but the packet hangs off the edge
     with pytest.raises(ValueError):
-        wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1.0 / M), center=7.5 * M)
+        wp.gaussian_amplitudes(1.0 / M, center=7.5 * M)
 
 
 def test_negative_energy_fraction_frozen_value():
     # frozen against a 10x-resolution quadrature of the same weights
-    pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1.0 / M))
+    pk = wp.gaussian_amplitudes(1.0 / M)
     frac = wp.negative_energy_fraction(pk)
     assert frac == pytest.approx(0.07545614718454714, abs=1e-10)
-    fine = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1.0 / M), grid=np.linspace(-8 * M, 8 * M, 40960))
+    fine = wp.gaussian_amplitudes(1.0 / M, grid=np.linspace(-8 * M, 8 * M, 40960))
     assert frac == pytest.approx(wp.negative_energy_fraction(fine), rel=1e-9)
 
 
 def test_negative_energy_fraction_shrinks_for_wide_packets():
-    tight = wp.negative_energy_fraction(wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1.0 / M)))
-    wide = wp.negative_energy_fraction(wp.gaussian_amplitudes(wp.GaussianSpec(d_width=10.0 / M)))
+    tight = wp.negative_energy_fraction(wp.gaussian_amplitudes(1.0 / M))
+    wide = wp.negative_energy_fraction(wp.gaussian_amplitudes(10.0 / M))
     assert wide < tight / 10.0
 
 
 def test_pure_positive_packet_has_zero_fraction():
-    base = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1.0 / M), d_scale=0.0)
+    base = wp.gaussian_amplitudes(1.0 / M, d_scale=0.0)
     assert wp.negative_energy_fraction(base) == 0.0
 
 
 def test_positive_only_current_is_constant():
-    pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=3.0 / M), center=0.7 * M, d_scale=0.0)
+    pk = wp.gaussian_amplitudes(3.0 / M, center=0.7 * M, d_scale=0.0)
     j0 = wp.probability_current(pk, 0.0)
     drift = float(np.sum(np.abs(pk.b) ** 2 * pk.p_grid / energy_of_momentum(pk.p_grid)) * pk.dp)
     assert j0 == pytest.approx(drift, rel=1e-12)
@@ -74,7 +74,7 @@ def test_positive_only_current_is_constant():
 
 def test_mixed_packet_oscillates_at_twice_the_energy():
     # packet away from the band edge: the interference line sits at 2 E(q*)
-    pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=6.0 / M), center=2.0 * M)
+    pk = wp.gaussian_amplitudes(6.0 / M, center=2.0 * M)
     weight = np.abs(wp.zitterbewegung_weight(pk))
     qstar = float(pk.p_grid[np.argmax(weight)])
     omega_expected = 2.0 * float(energy_of_momentum(qstar))
@@ -89,7 +89,7 @@ def test_mixed_packet_oscillates_at_twice_the_energy():
 
 
 def test_time_average_returns_to_drift():
-    pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=6.0 / M), center=2.0 * M)
+    pk = wp.gaussian_amplitudes(6.0 / M, center=2.0 * M)
     e = energy_of_momentum(pk.p_grid)
     drift = float(np.sum((np.abs(pk.b) ** 2 - np.abs(pk.dstar) ** 2) * pk.p_grid / e) * pk.dp)
     avg = float(np.mean(wp.probability_current(pk, np.linspace(0.0, 400.0 / M, 2001))))
@@ -101,7 +101,7 @@ def test_interference_amplitude_linear_in_dstar():
     times = np.linspace(0.0, 20.0 / M, 400)
     ratios = []
     for scale in (0.5, 1.0, 2.0):
-        pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1.0 / M), center=0.8 * M, d_scale=scale)
+        pk = wp.gaussian_amplitudes(1.0 / M, center=0.8 * M, d_scale=scale)
         vals = wp.probability_current(pk, times)
         amp = float(np.ptp(vals)) / 2.0
         nb = math.sqrt(float(np.sum(np.abs(pk.b) ** 2) * pk.dp))
@@ -111,7 +111,7 @@ def test_interference_amplitude_linear_in_dstar():
 
 
 def test_charge_current_time_independent():
-    pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1.0 / M), center=0.8 * M)
+    pk = wp.gaussian_amplitudes(1.0 / M, center=0.8 * M)
     j0 = wp.charge_current(pk)
     j_late = wp.charge_current(pk.evolve(1000.0 / M))
     # no interference term exists; only |amplitude|^2 rounding survives
@@ -119,25 +119,25 @@ def test_charge_current_time_independent():
 
 
 def test_charge_current_symmetric_packet_vanishes():
-    pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1.0 / M))
+    pk = wp.gaussian_amplitudes(1.0 / M)
     assert abs(wp.charge_current(pk)) < 1e-15
 
 
 def test_charge_current_boosted_packet():
     # narrow packet rides at e p0 / E_p0; quadrature oracle at 10x resolution
-    pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=8.0 / M), center=2.0 * M)
+    pk = wp.gaussian_amplitudes(8.0 / M, center=2.0 * M)
     got = wp.charge_current(pk)
     assert got == pytest.approx(-2.0 * M / energy_of_momentum(2.0 * M), rel=1e-3)
     fine = wp.gaussian_amplitudes(
-        wp.GaussianSpec(d_width=8.0 / M), center=2.0 * M, grid=np.linspace(-8 * M, 8 * M, 40960)
+        8.0 / M, center=2.0 * M, grid=np.linspace(-8 * M, 8 * M, 40960)
     )
     assert got == pytest.approx(wp.charge_current(fine), rel=1e-6)
 
 
 def test_grid_refinement_converges():
-    coarse = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1.0 / M), center=0.8 * M)
+    coarse = wp.gaussian_amplitudes(1.0 / M, center=0.8 * M)
     fine = wp.gaussian_amplitudes(
-        wp.GaussianSpec(d_width=1.0 / M), center=0.8 * M, grid=np.linspace(-8 * M, 8 * M, 8192)
+        1.0 / M, center=0.8 * M, grid=np.linspace(-8 * M, 8 * M, 8192)
     )
     for t in (0.0, 1.0 / M):
         a = wp.probability_current(coarse, t)
@@ -165,7 +165,7 @@ def test_matrix_elements_match_algebra_spinors():
 
 
 def test_unnormalized_packet_rejected():
-    pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1.0 / M))
+    pk = wp.gaussian_amplitudes(1.0 / M)
     broken = wp.Packet(p_grid=pk.p_grid, b=2.0 * pk.b, dstar=pk.dstar)
     with pytest.raises(ValueError):
         wp.probability_current(broken, 0.0)
@@ -177,17 +177,17 @@ def test_unnormalized_packet_rejected():
 
 def test_non_finite_packet_parameters_rejected():
     for bad in (math.nan, math.inf, 0.0, -1.0):
-        with pytest.raises(ValueError):
-            wp.GaussianSpec(d_width=bad)
+        with pytest.raises(ValueError, match="d_width"):
+            wp.gaussian_amplitudes(bad)
     with pytest.raises(ValueError):
-        wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1.0 / M), center=math.nan)
+        wp.gaussian_amplitudes(1.0 / M, center=math.nan)
 
 
 def test_unresolved_or_off_grid_packet_rejected():
     with pytest.raises(ValueError, match="coarse"):
-        wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1000.0))
+        wp.gaussian_amplitudes(1000.0)
     with pytest.raises(ValueError, match="narrow"):
-        wp.gaussian_amplitudes(wp.GaussianSpec(d_width=0.002), center=1e5)
+        wp.gaussian_amplitudes(0.002, center=1e5)
 
 
 def _per_time_current(packet, t):
@@ -209,7 +209,7 @@ def _per_time_current(packet, t):
 )
 def test_array_times_match_per_time_sum(d_width, center, d_scale, t0, times):
     # evolving to t0 makes the interference weight complex (a Gaussian's is real)
-    pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=d_width), center=center, d_scale=d_scale).evolve(t0)
+    pk = wp.gaussian_amplitudes(d_width, center=center, d_scale=d_scale).evolve(t0)
     got = wp.probability_current(pk, times)
     want = np.array([_per_time_current(pk, t) for t in times.ravel()]).reshape(times.shape)
     if times.ndim == 0:
@@ -225,7 +225,7 @@ def test_array_times_match_per_time_sum(d_width, center, d_scale, t0, times):
 
 def test_long_series_crosses_phase_blocks():
     # more phases than one block holds: rows on both sides of every block edge
-    pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=6.0 / M), center=2.0 * M).evolve(3.0 / M)
+    pk = wp.gaussian_amplitudes(6.0 / M, center=2.0 * M).evolve(3.0 / M)
     times = np.linspace(0.0, 40.0 / M, 3 * wp._PHASE_BLOCK // pk.p_grid.size + 7)
     got = wp.probability_current(pk, times)
     want = np.array([_per_time_current(pk, t) for t in times])
@@ -252,7 +252,7 @@ def _factorised_width(times):
 )
 def test_uniform_series_match_per_time_sum(d_width, center, t_evolve, t0, span, n):
     # a negative span gives a descending grid; evolving makes w complex
-    pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=d_width), center=center).evolve(t_evolve)
+    pk = wp.gaussian_amplitudes(d_width, center=center).evolve(t_evolve)
     times = np.linspace(t0, t0 + span, n)
     if n > 2:
         assert _factorised_width(times) == math.ceil(math.sqrt(n))
@@ -274,7 +274,7 @@ def test_only_uniform_series_are_factorised():
 def test_overflowing_grid_rejected():
     # q^2 d^2 is inf * 0 = nan at the grid's ends, so the loss estimate is nan
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflowing"):
-        wp.gaussian_amplitudes(wp.GaussianSpec(1e-200), wp.default_grid(1e-200))
+        wp.gaussian_amplitudes(1e-200, wp.default_grid(1e-200))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -284,11 +284,11 @@ def test_grid_too_wide_for_floats_rejected_without_warnings(d_width):
     # too and the loss estimate divided 0.0 by 0.0 (an internal error); at
     # 1e-320 the span 8/d is itself inf
     with pytest.raises(ValueError, match="overflowing|too narrow"):
-        wp.gaussian_amplitudes(wp.GaussianSpec(d_width))
+        wp.gaussian_amplitudes(d_width)
 
 
 def test_nan_packet_rejected():
-    pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1.0 / M))
+    pk = wp.gaussian_amplitudes(1.0 / M)
     broken = wp.Packet(p_grid=pk.p_grid, b=np.where(pk.p_grid > 0.0, np.nan, pk.b), dstar=pk.dstar)
     for fn in (wp.negative_energy_fraction, wp.charge_current, lambda p: wp.probability_current(p, 0.0)):
         with pytest.raises(ValueError, match="not normalized"):
@@ -297,6 +297,6 @@ def test_nan_packet_rejected():
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, [0.0, math.nan], [[1.0], [math.inf]], 1e306])
 def test_non_finite_times_rejected(t):
-    pk = wp.gaussian_amplitudes(wp.GaussianSpec(d_width=1.0 / M))
+    pk = wp.gaussian_amplitudes(1.0 / M)
     with pytest.raises(ValueError, match="finite"):
         wp.probability_current(pk, t)
