@@ -294,6 +294,8 @@ def _cmd_kinematics(args, constants) -> int:
         return 0
     with _flags("--deps", "--x", "--theta"):
         sol = kinematics.lab_pair_energy(boost, args.deps, math.radians(args.theta), args.branch, constants)
+        if sol.t_lab < 0.0:
+            raise ValueError(f"no pair is emitted at this angle on the {args.branch} branch: T_lab would be {sol.t_lab:.10g} keV")
     payload = {
         "branch": sol.branch,
         "theta_e_deg": math.degrees(sol.theta_e),

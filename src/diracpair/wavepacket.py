@@ -12,9 +12,11 @@ set by |dstar|.
 
 ``probability_current`` takes one time or an array of times; a whole series
 is one call.  On a uniform series t_0 + k dt the interference phase factorises
-as e^{2iE(t_J + j dt)}, so about 2 sqrt(n) complex exponentials per momentum
-and a small complex matrix product replace the n per momentum of a direct
-sum.  No phase table, and no product of two, exceeds ``_PHASE_BLOCK``
+as e^{2iE(t_J + j dt)}: two phase tables of about 2 sqrt(n) rows per momentum
+in all and a small complex matrix product replace the n complex exponentials
+per momentum of a direct sum.  Each table is filled from one seed row and one
+ratio by repeated doubling, so the two cost 3 complex exponentials per
+momentum.  No phase table, and no product of two, exceeds ``_PHASE_BLOCK``
 complex elements.
 """
 
@@ -144,9 +146,15 @@ def probability_current(packet: Packet, t, constants: Constants = DEFAULT_CONSTA
     :func:`zitterbewegung_weight`.  Each time is written t_J + j dt: row J of
     a base table w_q e^{2iE_q t_J} times column j of an offset table
     e^{2iE_q j dt}, summed over q, gives it.  A uniform series of n times
-    (see :func:`_phase_tables`) uses ceil(sqrt(n)) offsets; any other input
-    uses each time as a base and the one offset 0.  The sum runs over chunks
-    of momenta and base rows, so memory stays bounded for any number of times.
+    (see :func:`_phase_tables`) uses ceil(sqrt(n)) offsets and as many block
+    starts or fewer, about 2 sqrt(n) table rows per momentum.  Both tables
+    are geometric in their row: the offset table grows from a row of ones by
+    the ratio e^{2iE_q dt} and the base table from the row w_q e^{2iE_q t_0} by
+    e^{2iE_q B dt}, each filled by repeated doubling (:func:`_geometric_rows`),
+    so the series costs 3 complex exponentials per momentum.  Any other input
+    uses each time as a base, with e^{2iE_q t} evaluated directly, and the one
+    offset 0.  The sum runs over chunks of momenta and base rows, so memory
+    stays bounded for any number of times.
     """
     _require_normalized(packet)
     q = packet.p_grid
@@ -158,17 +166,25 @@ def probability_current(packet: Packet, t, constants: Constants = DEFAULT_CONSTA
     if not math.isfinite(2.0 * float(np.max(e)) * float(np.max(np.abs(flat), initial=0.0))):
         raise ValueError("times must be finite, and so must the phases 2 E_q t")
     starts, offsets = _phase_tables(flat)
+    uniform = offsets.size > 1
     # momenta per chunk, then block rows per chunk, so that neither phase
-    # table nor their product exceeds _PHASE_BLOCK elements
+    # table nor their product exceeds _PHASE_BLOCK elements; a uniform series
+    # has no more starts than offsets (up to _PHASE_BLOCK**2 times), so a
+    # chunk's whole base table fits and is built once
     cols = min(q.size, _PHASE_BLOCK // offsets.size)
     rows = _PHASE_BLOCK // max(cols, offsets.size)
     cross = np.zeros((starts.size, offsets.size))
     for k in range(0, q.size, cols):
         e2 = 2.0 * e[k : k + cols]
-        offset = np.exp(1.0j * np.multiply.outer(offsets, e2))
+        if uniform:
+            step = offsets[1]
+            offset = _geometric_rows(np.ones(e2.size, dtype=complex), np.exp(1.0j * step * e2), offsets.size)
+            base = _geometric_rows(w[k : k + cols] * np.exp(1.0j * starts[0] * e2), np.exp(1.0j * (step * offsets.size) * e2), starts.size)
+        else:
+            offset = np.exp(1.0j * np.multiply.outer(offsets, e2))
         for r in range(0, starts.size, rows):
-            base = w[k : k + cols] * np.exp(1.0j * np.multiply.outer(starts[r : r + rows], e2))
-            cross[r : r + rows] += (base @ offset.T).real
+            block = base[r : r + rows] if uniform else w[k : k + cols] * np.exp(1.0j * np.multiply.outer(starts[r : r + rows], e2))
+            cross[r : r + rows] += (block @ offset.T).real
     current = drift + 2.0 * cross.ravel()[: flat.size]
     if times.ndim == 0:
         return float(current[0])
@@ -192,6 +208,23 @@ def _phase_tables(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             width = min(math.isqrt(n - 1) + 1, _PHASE_BLOCK)
             return flat[0] + (step * width) * np.arange(-(-n // width)), step * np.arange(width)
     return flat, np.zeros(1)
+
+
+def _geometric_rows(seed: np.ndarray, ratio: np.ndarray, n: int) -> np.ndarray:
+    """The n rows seed * ratio**j (j < n), filled by repeated doubling.
+
+    Rows [k, 2k) are rows [0, k) times ratio**k, and ratio**k is squared
+    between steps, so row j is the seed times one power ratio**(2**b) per set
+    bit b of j: at most log2(n) products instead of j.
+    """
+    table = np.empty((n, seed.size), dtype=complex)
+    table[0] = seed
+    k = 1
+    while k < n:
+        np.multiply(table[: min(k, n - k)], ratio, out=table[k : 2 * k])
+        ratio = ratio * ratio
+        k *= 2
+    return table
 
 
 def zitterbewegung_weight(packet: Packet, constants: Constants = DEFAULT_CONSTANTS) -> np.ndarray:

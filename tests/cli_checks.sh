@@ -104,6 +104,7 @@ for args in "counting-time --x0 1 --xmin 0.1 --xmax 10 --steps 200" \
             "scatter --alt d1 --well-depth 1000 --well-width 10" \
             "lineshape --deps 818.8 --tmin 800 --tmax 900 --steps 200" \
             "zbw --dwidth 0.002 --tmax 0.2 --tsteps 400 --p0 1022" \
+            "zbw --dwidth 0.002 --tmax 2 --tsteps 10000 --p0 1022" \
             "levels --ion Pb --format json" \
             "match --catalog tests/data/catalog_u_pb_576.json --format json" \
             "reproduce-tables --format json" \
@@ -126,3 +127,13 @@ for top in "--top-k 1" ""; do
   test "$(wc -l < "$TMP/err")" -eq 1
   grep -q '^error: catalog entry 0: x_mev_per_u' "$TMP/err"
 done
+
+# A pair energy below zero exits 2 naming the flags: below about 65.6 keV the
+# "+" branch emits no pair at 45 degrees, and T_lab_keV was printed negative
+code=0
+$DIRACPAIR kinematics --deps 50 --x 6 --theta 45 --branch + > "$TMP/out" 2> "$TMP/err" || code=$?
+cat "$TMP/err"
+test "$code" -eq 2
+test ! -s "$TMP/out"
+test "$(wc -l < "$TMP/err")" -eq 1
+grep -q '^error: --deps, --x, --theta: no pair is emitted' "$TMP/err"

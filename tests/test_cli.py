@@ -945,6 +945,9 @@ def test_lineshape_argv_exits_0_with_finite_output_or_2(deps, tmin, tmax, scale,
 # the --deps overflow cases of test_invalid_number_exits_2_with_message
 @example(mode="solve", branch="+", fmt="csv", deps=1e300, x=6.0, target=0.0)
 @example(mode="invert", branch="-", fmt="csv", deps=1e300, x=6.0, target=576.0)
+# printed T_lab_keV = -8.157899124 with exit 0: below about 65.6 keV the "+"
+# branch emits no pair at 45 degrees
+@example(mode="solve", branch="+", fmt="csv", deps=50.0, x=6.0, target=0.0)
 def test_kinematics_argv_exits_0_with_finite_output_or_2(mode, branch, fmt, deps, x, target):
     argv = ("kinematics", mode, f"--deps={deps!r}", f"--x={x!r}", f"--branch={branch}", f"--format={fmt}")
     argv += (f"--target={target!r}",) if mode == "invert" else ()
@@ -952,6 +955,13 @@ def test_kinematics_argv_exits_0_with_finite_output_or_2(mode, branch, fmt, deps
     assert code in (0, 2), argv
     if code == 0:
         assert not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE), argv
+        if mode == "solve":
+            if fmt == "json":
+                t_lab = json.loads(out)["result"]["T_lab_keV"]
+            else:
+                header, row = out.splitlines()[1:]
+                t_lab = float(dict(zip(header.split(","), row.split(",")))["T_lab_keV"])
+            assert t_lab >= 0.0, argv
 
 
 # a sweep needs m < emin < emax and a bound-state run a positive well: about

@@ -224,12 +224,29 @@ def test_array_times_match_per_time_sum(d_width, center, d_scale, t0, times):
 
 
 def test_long_series_crosses_phase_blocks():
-    # more phases than one block holds: rows on both sides of every block edge
+    # more offsets per momentum than one block holds: two momentum chunks, one row block
     pk = wp.gaussian_amplitudes(6.0 / M, center=2.0 * M).evolve(3.0 / M)
     times = np.linspace(0.0, 40.0 / M, 3 * wp._PHASE_BLOCK // pk.p_grid.size + 7)
     got = wp.probability_current(pk, times)
     want = np.array([_per_time_current(pk, t) for t in times])
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, blocks", [(10_000, 2), (100_000, 13)])
+def test_long_series_crosses_row_blocks(n, blocks):
+    # the kernel's row blocks: B offsets, at most _PHASE_BLOCK // B momenta per
+    # chunk, and _PHASE_BLOCK // max(cols, B) block starts per product
+    pk = wp.gaussian_amplitudes(6.0 / M, center=2.0 * M).evolve(3.0 / M)
+    times = np.linspace(-5.0 / M, 400.0 / M, n)
+    starts, offsets = wp._phase_tables(times)
+    cols = min(pk.p_grid.size, wp._PHASE_BLOCK // offsets.size)
+    rows = wp._PHASE_BLOCK // max(cols, offsets.size)
+    assert -(-starts.size // rows) == blocks
+    edges = np.arange(rows, starts.size, rows) * offsets.size
+    picks = np.unique(np.concatenate([np.linspace(0, n - 1, 400).astype(int), edges - 1, edges]))
+    got = wp.probability_current(pk, times)
+    want = np.array([_per_time_current(pk, times[i]) for i in picks])
+    assert np.max(np.abs(got[picks] - want)) <= 1e-12
 
 
 def _factorised_width(times):
