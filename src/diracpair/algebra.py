@@ -183,7 +183,7 @@ def find_conjugation_matrix(m: DiracMatrices, constants: Constants = DEFAULT_CON
     system = np.vstack(rows)
     _, svals, vh = np.linalg.svd(system)
     tol = constants.numeric_tolerance * max(1.0, float(svals[0]))
-    null_dim = int(np.sum(svals < tol)) + (16 - len(svals) if len(svals) < 16 else 0)
+    null_dim = int(np.sum(svals < tol))
     if null_dim != 1:
         raise ValueError(f"numeric_tolerance={constants.numeric_tolerance!r} gives the conjugation constraints a solution space of dimension {null_dim}, expected 1")
     c = vh[-1].reshape(4, 4)

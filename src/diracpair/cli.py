@@ -35,9 +35,24 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# a CSV cell holding one of these is quoted as in RFC 4180
+_CSV_SPECIAL = ',"\r\n'
+
+
+def _csv_quoted(x) -> str:
+    text = _fmt(x)
+    if any(c in text for c in _CSV_SPECIAL):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_cell(col):
     if set(map(type, col)) <= {float}:
         return "%.10g", None
+    # one scan of the column's text decides whether any of its cells needs quoting
+    text = "".join(x for x in col if isinstance(x, str))
+    if any(c in text for c in _CSV_SPECIAL):
+        return "%s", _csv_quoted
     return "%s", _fmt
 
 
@@ -86,7 +101,9 @@ def _emit(args, constants, columns, payload=None, extra_header=None) -> None:
     row, filled a column at a time (``_render``).  In CSV a column whose
     cells are all exactly ``float`` is rendered by ``%.10g`` and every other
     column (str, int, bool, None, numpy scalars, mixed) by ``_fmt`` once per
-    cell; the bytes are those of ``",".join(map(_fmt, row))`` per row.  In
+    cell, except that a text cell holding ``,``, ``"``, CR or LF is quoted
+    as in RFC 4180, with ``"`` doubled inside; a column with no such cell
+    is written as ``",".join(map(_fmt, row))`` per row.  In
     JSON the columns go in sorted key order; a column of finite, exactly
     ``float`` cells is rendered by ``%r`` (``float.__repr__``, as ``json``
     does), an all-``str`` column by ``encode_basestring_ascii``, and every
@@ -235,7 +252,7 @@ def _cmd_levels(args, constants) -> int:
     if not labels:
         raise ValueError("no shells given")
     shells = [hydrogenic.Shell.from_label(label) for label in labels]
-    e_plus = [hydrogenic.level_energy(ion, shell, +1, constants) for shell in shells]
+    e_plus = [hydrogenic.level_energy(ion, shell, constants) for shell in shells]
     columns = {
         "ion": [ion.symbol] * len(shells),
         "shell": labels,
@@ -312,15 +329,19 @@ def _cmd_kinematics(args, constants) -> int:
 
 
 def _cmd_match(args, constants) -> int:
-    from . import matcher
+    from . import hydrogenic, matcher
 
     records = matcher.load_catalog(args.catalog)
+    # the levels depend on the ions and alpha0 alone, so a supercritical one
+    # is reported as `levels` reports it, before any entry's kinematics
+    for ion in dict.fromkeys(ion for rec in records for ion in rec.system):
+        hydrogenic.transition_table(ion, constants=constants)
     hits = []
     for i, rec in enumerate(records):
-        # the observed peak only meets T_lab in a difference, so only the beam energy can overflow
+        # the levels are finite and the observed peak only meets T_lab in a
+        # difference, so what overflows from here on is the beam energy's
         with _flags(f"catalog entry {i}: x_mev_per_u"):
-            cands = matcher.candidate_transitions(rec.system[0], rec.system[1], constants=constants, x=rec.beam_energy_x)
-            hits += [(rec, res) for res in matcher.match_peak(rec, cands, top_k=args.top_k, constants=constants)]
+            hits += [(rec, res) for res in matcher.match_peak(rec, top_k=args.top_k, constants=constants)]
     columns = {
         "system": [rec.system_name for rec, _ in hits],
         "spectrometer": [rec.spectrometer for rec, _ in hits],

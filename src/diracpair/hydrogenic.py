@@ -125,16 +125,13 @@ def get_ion(symbol: str) -> IonSpecies:
 def level_energy(
     ion: IonSpecies,
     shell: Shell,
-    sign: int = +1,
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> float:
-    """Level energy E_pm(n, j) in keV; sign must be +1 or -1.
+    """Upper level energy E_+(n, j) in keV; its mirror level is E_-(n, j) = -E_+(n, j).
 
     Raises for supercritical input j + 1/2 <= Z alpha0, where the point-nucleus
     formula leaves the real domain, rather than returning complex values.
     """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
     za = ion.Z * constants.fine_structure
     kq = shell.j + 0.5
     if kq <= za:
@@ -142,8 +139,7 @@ def level_energy(
             f"supercritical: j + 1/2 = {kq:g} <= Z*alpha0 = {za:.6f} for {ion.symbol} {shell.label}"
         )
     denom = shell.n - kq + (kq * kq - za * za) ** 0.5
-    level = constants.m * (1.0 + (za / denom) ** 2) ** -0.5
-    return sign * level
+    return constants.m * (1.0 + (za / denom) ** 2) ** -0.5
 
 
 def pair_transition_energy(
@@ -153,7 +149,7 @@ def pair_transition_energy(
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> Transition:
     """Transition energy delta_eps(S; S') = E_+(S) + E_+(S')."""
-    delta = level_energy(ion, upper, +1, constants) + level_energy(ion, lower, +1, constants)
+    delta = level_energy(ion, upper, constants) + level_energy(ion, lower, constants)
     return Transition(ion=ion, upper=upper, lower=lower, delta_eps=delta)
 
 

@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 
 from .core import Constants, DEFAULT_CONSTANTS, json_field
-from .hydrogenic import DEFAULT_SHELL_PAIRS, IonSpecies, Shell, Transition, get_ion, pair_transition_energy
+from .hydrogenic import IonSpecies, Shell, Transition, get_ion, pair_transition_energy, transition_table
 from .kinematics import IonBoost, boost_from_beam_energy, lab_pair_energy, solve_theta
 
 __all__ = [
@@ -72,7 +72,6 @@ class ExperimentRecord:
 
 @dataclass(frozen=True)
 class Candidate:
-    ion: IonSpecies
     transition: Transition
     branch: str
     theory_at_45: float  # pair-sum keV
@@ -80,7 +79,6 @@ class Candidate:
 
 @dataclass(frozen=True)
 class MatchResult:
-    record: ExperimentRecord
     transition: Transition
     branch: str
     theory_at_45: float  # pair-sum keV
@@ -177,58 +175,47 @@ def candidate_transitions(
     target: IonSpecies,
     constants: Constants = DEFAULT_CONSTANTS,
     x: float = 6.0,
-    pairs=DEFAULT_SHELL_PAIRS,
 ) -> list[Candidate]:
-    """All (ion, transition, branch) candidates for a collision system.
+    """All (transition, branch) candidates for a collision system at a beam energy of x MeV/u.
 
-    Cross product of the two ions, the default shell pairs, and both branch
-    signs, each with its pair-sum theory value at 45 degrees.  T_lab is
-    monotone in the angle, so evaluating each at the angle scan's ends (0.1
-    and 90 degrees) raises here for a beam energy that any solve would overflow.
+    Each ion's default transition table times both branch signs, each with
+    its pair-sum theory value at 45 degrees.  T_lab is monotone in the
+    angle, so evaluating each at the angle scan's ends (0.1 and 90 degrees)
+    raises here for a beam energy that any solve would overflow.
     """
     boost = boost_from_beam_energy(x)
     ions = [beam] if beam.symbol == target.symbol else [beam, target]
     out = []
     for ion in ions:
-        for up, lo in pairs:
-            tr = pair_transition_energy(ion, Shell.from_label(up), Shell.from_label(lo), constants)
+        for tr in transition_table(ion, constants=constants):
             for branch in ("+", "-"):
                 for theta_deg in (0.1, 90.0):
                     lab_pair_energy(boost, tr.delta_eps, math.radians(theta_deg), branch, constants)
-                out.append(
-                    Candidate(
-                        ion=ion,
-                        transition=tr,
-                        branch=branch,
-                        theory_at_45=_theory_at_45(boost, tr, branch, constants),
-                    )
-                )
+                out.append(Candidate(transition=tr, branch=branch, theory_at_45=_theory_at_45(boost, tr, branch, constants)))
     return out
 
 
 def match_peak(
     record: ExperimentRecord,
-    candidates: list[Candidate],
     top_k: int = 6,
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> list[MatchResult]:
-    """Rank candidates by closeness at 45 degrees and solve each for the exact angle.
+    """Rank the record's candidates by closeness at 45 degrees and solve each for the exact angle.
 
-    Candidates are ordered by |theory_at_45 - comparison_value| with a
-    deterministic tie-break on (ion symbol, shell labels, branch), so the
-    ranking does not depend on input order.  Candidates whose curve cannot
-    reach the observed value keep ``solved_theta = None``.
+    The candidates are those of the record's system at its own beam energy.
+    They are ordered by |theory_at_45 - comparison_value| with a
+    deterministic tie-break on (ion symbol, shell labels, branch).
+    Candidates whose curve cannot reach the observed value keep
+    ``solved_theta = None``.
     """
-    if not candidates:
-        raise ValueError("empty candidate list")
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k!r}")
     target = record.comparison_value
     ranked = sorted(
-        candidates,
+        candidate_transitions(*record.system, constants, x=record.beam_energy_x),
         key=lambda c: (
             abs(c.theory_at_45 - target),
-            c.ion.symbol,
+            c.transition.ion.symbol,
             c.transition.upper.label,
             c.transition.lower.label,
             c.branch,
@@ -239,7 +226,6 @@ def match_peak(
     for cand in ranked[:top_k]:
         results.append(
             MatchResult(
-                record=record,
                 transition=cand.transition,
                 branch=cand.branch,
                 theory_at_45=cand.theory_at_45,

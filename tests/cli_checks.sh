@@ -137,3 +137,25 @@ test "$code" -eq 2
 test ! -s "$TMP/out"
 test "$(wc -l < "$TMP/err")" -eq 1
 grep -q '^error: --deps, --x, --theta: no pair is emitted' "$TMP/err"
+
+# Every reproduce-tables CSV row, read by a CSV parser, has the header's
+# length: two rows printed a flags cell holding a comma unquoted
+$DIRACPAIR reproduce-tables > "$TMP/out"
+python3 -c '
+import csv, sys
+rows = list(csv.reader(line for line in open(sys.argv[1], newline="") if not line.startswith("#")))
+bad = [row for row in rows if len(row) != len(rows[0])]
+sys.exit(f"{len(bad)} rows off the header length" if bad else 0)
+' "$TMP/out"
+
+# A supercritical alpha0 exits 2 with one stderr line that does not blame the
+# beam energy: match printed "catalog entry 0: x_mev_per_u: supercritical: ..."
+echo '{"alpha0": 0.05}' > "$TMP/supercritical.json"
+code=0
+$DIRACPAIR --config "$TMP/supercritical.json" match --catalog tests/data/catalog_u_pb_576.json > "$TMP/out" 2> "$TMP/err" || code=$?
+cat "$TMP/err"
+test "$code" -eq 2
+test ! -s "$TMP/out"
+test "$(wc -l < "$TMP/err")" -eq 1
+grep -q 'supercritical' "$TMP/err"
+if grep -q 'x_mev_per_u' "$TMP/err"; then exit 1; fi

@@ -399,6 +399,16 @@ def test_match_exits_the_same_way_for_every_top_k(tmp_path, capsys, top_k):
             assert err == "" and len(out.splitlines()) == 2 + (top_k or 6)
 
 
+def test_match_does_not_blame_the_beam_energy_for_a_supercritical_alpha0(tmp_path, capsys):
+    # a level that leaves the real domain was reported as "catalog entry 0: x_mev_per_u: supercritical: ..."
+    cfg = tmp_path / "constants.json"
+    cfg.write_text(json.dumps({"alpha0": 0.05}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "match", "--catalog", CATALOG_576)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: supercritical: ") and "x_mev_per_u" not in err and err.count("\n") == 1, err
+
+
 def test_reproduce_tables_that_fail_their_check_exit_3(tmp_path, capsys):
     # a mass inside the domain, far from the electron's: the full table and exit 1 with empty stderr
     path = tmp_path / "constants.json"
@@ -591,12 +601,17 @@ def test_match_non_finite_beam_energy_exits_2_with_message(tmp_path, capsys, x_t
 # --- CSV and JSON writer ----------------------------------------------------------
 #
 # _emit is handed columns and writes each body with one % over all rows; the
-# per-row join it replaced is the CSV oracle, and the two must agree byte for
-# byte.  Its JSON must equal json.dumps of the document with the rows as dicts.
+# per-row join it replaced, with a text cell that holds a comma, a quote or a
+# line break quoted as in RFC 4180, is the CSV oracle, and the two must agree
+# byte for byte.  Its JSON must equal json.dumps of the document with the rows
+# as dicts.
 
 
 def _row_oracle(row):
-    return ",".join(map(_fmt, row))
+    return ",".join(
+        '"' + cell.replace('"', '""') + '"' if isinstance(cell, str) and any(c in cell for c in ',"\r\n') else _fmt(cell)
+        for cell in row
+    )
 
 
 def _emitted(columns, fmt="csv"):
@@ -656,6 +671,7 @@ def _tables(draw):
 # finite cells whose sum overflows
 @example(columns={"big": [1e308, 1e308]})
 @example(columns={'a"\\\x01é': ['"\\\x1f\n', "\U0001f600€"]})
+@example(columns={"spectrometer": ["EPOS, run 2\r\n", "sum"], "flags": ['a "b"', None]})
 def test_csv_body_matches_the_per_row_join(columns):
     rows = list(zip(*columns.values()))
     expected = _emitted({name: [] for name in columns}) + "".join(_row_oracle(row) + "\n" for row in rows)

@@ -48,12 +48,6 @@ def test_levels_match_formula_oracle():
             assert got == pytest.approx(level_oracle(ion.Z, shell.n, shell.j), rel=1e-14)
 
 
-def test_negative_branch_is_exact_mirror():
-    for label in ("K", "L1", "L2"):
-        shell = hyd.Shell.from_label(label)
-        assert hyd.level_energy(PB, shell, -1) == -hyd.level_energy(PB, shell, +1)
-
-
 def test_small_charge_limit():
     light = hyd.IonSpecies(symbol="H", Z=1)
     e = hyd.level_energy(light, hyd.Shell.from_label("K"))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -67,9 +68,9 @@ def test_load_catalog_rejects_bad_rows(tmp_path):
 def test_candidates_cover_both_ions_and_branches():
     cands = matcher.candidate_transitions(get_ion("U"), get_ion("Pb"))
     assert len(cands) == 2 * 7 * 2
-    ions = {c.ion.symbol for c in cands}
+    ions = {c.transition.ion.symbol for c in cands}
     assert ions == {"U", "Pb"}
-    pb_kk_plus = [c for c in cands if c.ion.symbol == "Pb" and c.transition.upper.label == "K" and c.transition.lower.label == "K" and c.branch == "+"]
+    pb_kk_plus = [c for c in cands if c.transition.ion.symbol == "Pb" and c.transition.upper.label == "K" and c.transition.lower.label == "K" and c.branch == "+"]
     assert len(pb_kk_plus) == 1
     assert pb_kk_plus[0].theory_at_45 == pytest.approx(571.0, rel=0.005)
 
@@ -83,10 +84,9 @@ def test_symmetric_system_deduplicates():
 
 def test_match_peak_u_pb_576(table1):
     rec = next(r for r in table1 if r.observed == 576 and r.ion.symbol == "Pb")
-    cands = matcher.candidate_transitions(*rec.system)
-    assert len(matcher.match_peak(rec, cands)) == 6  # default depth
+    assert len(matcher.match_peak(rec)) == 6  # default depth
     # the published identifications for this peak sit within the top 8
-    results = matcher.match_peak(rec, cands, top_k=8)
+    results = matcher.match_peak(rec, top_k=8)
     by_key = {(m.transition.name, m.branch): m for m in results}
     pb = by_key[("Pb:K->K'", "+")]
     assert math.degrees(pb.solved_theta) == pytest.approx(46.4, abs=0.5)
@@ -99,16 +99,13 @@ def test_match_peak_u_pb_576(table1):
 
 @pytest.mark.parametrize("top_k", [0, -1, -100])
 def test_match_peak_rejects_top_k_below_one(table1, top_k):
-    rec = table1[0]
-    cands = matcher.candidate_transitions(*rec.system)
     with pytest.raises(ValueError, match="top_k"):
-        matcher.match_peak(rec, cands, top_k=top_k)
+        matcher.match_peak(table1[0], top_k=top_k)
 
 
 def test_match_peak_positron_row(table2):
     rec = next(r for r in table2 if r.system_name == "U+U" and r.spectrometer == "orange")
-    cands = matcher.candidate_transitions(*rec.system)
-    top = matcher.match_peak(rec, cands)[0]
+    top = matcher.match_peak(rec)[0]
     assert top.transition.name == "U:K->K'"
     assert top.branch == "-"
     assert top.theory_at_45 / 2.0 == pytest.approx(281.7, rel=0.005)
@@ -123,29 +120,33 @@ def test_match_peak_exact_value_recovers_45_degrees(table1):
         system=rec0.system, spectrometer="sum", observable="pair_sum_kinetic",
         observed=target, beam_energy_x=6.0, flagged_marginal=False,
     )
-    top = matcher.match_peak(rec, cands, top_k=1)[0]
+    top = matcher.match_peak(rec, top_k=1)[0]
     assert top.residual_at_45 == 0.0
     assert math.degrees(top.solved_theta) == pytest.approx(45.0, abs=1e-3)
-
-
-def test_ranking_stable_under_permutation(table1):
-    rec = table1[0]
-    cands = matcher.candidate_transitions(*rec.system)
-    a = matcher.match_peak(rec, cands)
-    b = matcher.match_peak(rec, list(reversed(cands)))
-    assert [(m.transition.name, m.branch) for m in a] == [(m.transition.name, m.branch) for m in b]
 
 
 def test_solved_theta_reproduces_observed(table2):
     # invariant: a solved angle feeds back through the kinematics to the peak
     rec = next(r for r in table2 if r.system_name == "U+Au" and r.branch == "+" and r.upper.label == "K" and r.lower.label == "K")
-    cands = matcher.candidate_transitions(*rec.system)
-    for m in matcher.match_peak(rec, cands):
+    for m in matcher.match_peak(rec):
         if m.solved_theta is None:
             continue
         boost = boost_from_beam_energy(rec.beam_energy_x)
         t = lab_pair_energy(boost, m.transition.delta_eps, m.solved_theta, m.branch).t_lab
         assert abs(t - rec.comparison_value) < 0.1
+
+
+def test_match_peak_ranks_at_the_record_beam_energy(table1):
+    # the theory values and angles belong to the record's own 8 MeV/u, not to the 6 MeV/u default
+    rec = dataclasses.replace(next(r for r in table1 if r.observed == 576 and r.ion.symbol == "Pb"), beam_energy_x=8.0)
+    boost = boost_from_beam_energy(8.0)
+    results = matcher.match_peak(rec)
+    assert (results[0].transition.name, results[0].branch) == ("Pb:K->K'", "-")
+    for m in results:
+        assert m.theory_at_45 == lab_pair_energy(boost, m.transition.delta_eps, math.radians(45.0), m.branch).t_lab
+        if m.solved_theta is not None:
+            t = lab_pair_energy(boost, m.transition.delta_eps, m.solved_theta, m.branch).t_lab
+            assert abs(t - rec.comparison_value) < 0.1
 
 
 def test_positron_rows_use_half_energy_rule(reports):
@@ -202,8 +203,7 @@ def test_specific_published_rows(reports):
 
 def test_every_row_matches_some_candidate_with_real_angle(table1, table2):
     for rec in table1 + table2:
-        cands = matcher.candidate_transitions(*rec.system, x=rec.beam_energy_x)
-        results = matcher.match_peak(rec, cands)
+        results = matcher.match_peak(rec)
         assert any(m.solved_theta is not None and 0.0 < math.degrees(m.solved_theta) <= 90.0 for m in results)
 
 
