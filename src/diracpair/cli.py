@@ -214,10 +214,15 @@ def _cmd_scatter(args, constants) -> int:
     from . import scatter1d
 
     alt = Alternative.from_string(args.alt)
+    if args.well_depth is None and args.well_width is not None:
+        raise ValueError("--well-width needs --well-depth")
     if args.well_depth is not None:
         # bound-state mode: levels of the attractive square well
         if args.well_width is None:
             raise ValueError("--well-depth needs --well-width")
+        given = [f"--{name}" for name in ("v0", "width", "emin", "emax", "steps") if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"bound-state mode (--well-depth) does not read {', '.join(given)}")
         with _flags("--well-depth", "--well-width"):
             levels = scatter1d.square_well_bound_states(alt, args.well_depth, args.well_width, constants)
         _emit(args, constants, {"level": list(range(len(levels))), "E_keV": list(levels)})
@@ -226,7 +231,7 @@ def _cmd_scatter(args, constants) -> int:
         raise ValueError("transmission sweep needs --v0, --emin, and --emax")
     if args.emin <= 0 or args.emax <= args.emin:
         raise ValueError("need 0 < emin < emax")
-    energies = np.linspace(args.emin, args.emax, args.steps)
+    energies = np.linspace(args.emin, args.emax, 100 if args.steps is None else args.steps)
     if args.width is not None:
         with _flags("--v0", "--width", "--emin", "--emax"):
             profile = scatter1d.PotentialProfile.barrier(args.v0, args.width)
@@ -305,12 +310,17 @@ def _cmd_kinematics(args, constants) -> int:
     if args.mode == "invert":
         if args.target is None:
             raise ValueError("invert mode needs --target")
+        if args.theta is not None:
+            raise ValueError("--theta is read only in solve mode")
         with _flags("--deps", "--x", "--target"):
-            roots = kinematics.solve_theta(boost, args.deps, args.branch, args.target, constants)
-        _emit(args, constants, {"theta_e_deg": [math.degrees(t) for t in roots]})
+            theta = kinematics.solve_theta(boost, args.deps, args.branch, args.target, constants)
+        _emit(args, constants, {"theta_e_deg": [] if theta is None else [math.degrees(theta)]})
         return 0
+    if args.target is not None:
+        raise ValueError("--target is read only in invert mode")
+    theta = math.radians(45.0 if args.theta is None else args.theta)
     with _flags("--deps", "--x", "--theta"):
-        sol = kinematics.lab_pair_energy(boost, args.deps, math.radians(args.theta), args.branch, constants)
+        sol = kinematics.lab_pair_energy(boost, args.deps, theta, args.branch, constants)
         if sol.t_lab < 0.0:
             raise ValueError(f"no pair is emitted at this angle on the {args.branch} branch: T_lab would be {sol.t_lab:.10g} keV")
     payload = {
@@ -440,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=float, default=None, help="barrier width in 1/keV (omit for a step)")
     p.add_argument("--emin", type=float, default=None)
     p.add_argument("--emax", type=float, default=None)
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=int, default=None, help="energies in the sweep (default 100)")
     p.add_argument("--well-depth", type=float, default=None, help="bound-state mode: well depth in keV")
     p.add_argument("--well-width", type=float, default=None, help="bound-state mode: well width in 1/keV")
     p.set_defaults(func=_cmd_scatter)
@@ -465,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", nargs="?", choices=("solve", "invert"), default="solve")
     p.add_argument("--deps", type=float, required=True, help="transition energy in keV")
     p.add_argument("--x", type=float, default=6.0, help="beam energy in MeV per nucleon")
-    p.add_argument("--theta", type=float, default=45.0, help="opening half-angle in degrees (solve mode)")
+    p.add_argument("--theta", type=float, default=None, help="opening half-angle in degrees (solve mode, default 45)")
     p.add_argument("--branch", choices=("+", "-"), required=True)
     p.add_argument("--target", type=float, default=None, help="target T_lab in keV (invert mode)")
     p.set_defaults(func=_cmd_kinematics)
@@ -506,7 +516,7 @@ def _check_numbers(args) -> None:
             raise ValueError(f"{flag} needs a value")
         if isinstance(value, float):
             require_finite(flag, value)
-        elif name.endswith("steps") or name in ("top_k", "n_random"):
+        elif value is not None and (name.endswith("steps") or name in ("top_k", "n_random")):
             if value > MAX_COUNT:
                 raise ValueError(f"{flag} must be at most {MAX_COUNT}")
             require_finite(flag, value, positive=True)

@@ -167,7 +167,7 @@ def bisect_root(f, a: float, b: float, xtol: float, fa: float | None = None, fb:
     """Bisection on a bracketing interval [a, b] with f(a)*f(b) <= 0.
 
     Branch-free, deterministic, and accurate to ``xtol`` on the abscissa;
-    ``kinematics.solve_theta`` refines each bracketed angle with it.
+    ``kinematics.solve_theta`` refines the one bracketed angle with it.
     """
     if fa is None:
         fa = f(a)

@@ -15,8 +15,8 @@ first-class solutions).  The laboratory pair kinetic energy follows as
             + gamma_I (delta_eps - 2m (1+gamma_I)/gamma_I sqrt(gamma_e^2-1) beta_I cos(theta_e)),
 
 applied to either branch's gamma_e; the experiment tables are reproduced by
-exactly this form.  Inversion for theta_e at a target T_lab uses a 0.1-degree
-scan plus bisection.
+exactly this form.  Inversion for the one theta_e at a target T_lab bisects
+the first 0.1-degree grid step that brackets the target.
 """
 
 from __future__ import annotations
@@ -168,33 +168,26 @@ def solve_theta(
     branch: str,
     t_target: float,
     constants: Constants = DEFAULT_CONSTANTS,
-) -> list[float]:
-    """All opening half-angles in (0, 90] degrees with T_lab = t_target.
+) -> float | None:
+    """The opening half-angle in (0, 90] degrees with T_lab = t_target.
 
-    Returns angles in radians, ascending; empty when the target is out of
-    reach.  theta = 0 is excluded (collinear emission carries no opening) and
-    90 degrees enters as the recoil-free endpoint.  A scan from 0.1 to 90
-    degrees in 0.1-degree steps brackets the roots, and bisection refines
-    each to 1e-4 degrees.
+    Radians, or None when the target is out of reach; T_lab rises strictly
+    with the angle on both branches, so there is no second one.  theta = 0 is
+    excluded (collinear emission carries no opening) and 90 degrees enters as
+    the recoil-free endpoint.  The first 0.1-degree step from 0.1 to 90
+    degrees that brackets the target is bisected to 1e-4 degrees.
     """
     if t_target <= 0.0:
         raise ValueError("target energy must be positive")
-    _check_branch(branch)
 
     def f(theta_deg: float) -> float:
         return lab_pair_energy(boost, delta_eps, math.radians(theta_deg), branch, constants).t_lab - t_target
 
-    thetas = []
-    grid = [0.1 + i * 0.1 for i in range(900)]
-    grid[-1] = min(grid[-1], 90.0)
-    vals = [f(th) for th in grid]
-    for (a, fa), (b, fb) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
-        if fa == 0.0:
-            thetas.append(a)
-            continue
-        if (fa > 0.0) == (fb > 0.0):
-            continue
-        thetas.append(bisect_root(f, a, b, 1e-4, fa=fa, fb=fb))
-    if vals[-1] == 0.0:
-        thetas.append(grid[-1])
-    return [math.radians(t) for t in sorted(set(thetas))]
+    a, fa = 0.1, f(0.1)
+    for i in range(1, 900):
+        b = min(0.1 + i * 0.1, 90.0)
+        fb = f(b)
+        if fa == 0.0 or fb == 0.0 or (fa > 0.0) != (fb > 0.0):
+            return math.radians(bisect_root(f, a, b, 1e-4, fa=fa, fb=fb))
+        a, fa = b, fb
+    return None

@@ -158,18 +158,6 @@ def _theory_at_45(
     return lab_pair_energy(boost, transition.delta_eps, math.radians(45.0), branch, constants).t_lab
 
 
-def _angle_nearest_45(
-    boost: IonBoost, transition: Transition, branch: str, target: float, constants: Constants
-) -> float | None:
-    """The solved angle (radians) closest to 45 degrees, or None when the target is out of reach.
-
-    Preferring the root closest to 45 degrees matches how the published
-    identifications were made in the first place.
-    """
-    roots = solve_theta(boost, transition.delta_eps, branch, target, constants)
-    return min(roots, key=lambda t: abs(t - math.radians(45.0)), default=None)
-
-
 def candidate_transitions(
     beam: IonSpecies,
     target: IonSpecies,
@@ -200,13 +188,13 @@ def match_peak(
     top_k: int = 6,
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> list[MatchResult]:
-    """Rank the record's candidates by closeness at 45 degrees and solve each for the exact angle.
+    """Rank the record's candidates by closeness at 45 degrees and solve each for the angle that gives the peak.
 
     The candidates are those of the record's system at its own beam energy.
     They are ordered by |theory_at_45 - comparison_value| with a
     deterministic tie-break on (ion symbol, shell labels, branch).
-    Candidates whose curve cannot reach the observed value keep
-    ``solved_theta = None``.
+    At most one angle gives it; a candidate whose curve cannot reach the
+    observed value gets ``solved_theta = None``.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k!r}")
@@ -229,7 +217,7 @@ def match_peak(
                 transition=cand.transition,
                 branch=cand.branch,
                 theory_at_45=cand.theory_at_45,
-                solved_theta=_angle_nearest_45(boost, cand.transition, cand.branch, target, constants),
+                solved_theta=solve_theta(boost, cand.transition.delta_eps, cand.branch, target, constants),
                 residual_at_45=cand.theory_at_45 - target,
             )
         )
@@ -289,7 +277,7 @@ def reproduce_tables(constants: Constants = DEFAULT_CONSTANTS) -> list[RowReport
             tr = pair_transition_energy(rec.ion, rec.upper, rec.lower, constants)
             theory_pair = _theory_at_45(boost, tr, rec.branch, constants)
             theory_obs = theory_pair / 2.0 if rec.observable == "positron_energy" else theory_pair
-            theta = _angle_nearest_45(boost, tr, rec.branch, rec.comparison_value, constants)
+            theta = solve_theta(boost, tr.delta_eps, rec.branch, rec.comparison_value, constants)
             theta_deg = None if theta is None else math.degrees(theta)
             rel_err = abs(theory_obs - rec.published_theory_at_45) / rec.published_theory_at_45
             theta_err = None if theta_deg is None else abs(theta_deg - rec.published_theta_deg)

@@ -159,3 +159,10 @@ test ! -s "$TMP/out"
 test "$(wc -l < "$TMP/err")" -eq 1
 grep -q 'supercritical' "$TMP/err"
 if grep -q 'x_mev_per_u' "$TMP/err"; then exit 1; fi
+
+# A flag that only the other mode reads exits 2 with one stderr line naming
+# it: each ran the other mode, dropped the flag and exited 0
+check --well-width scatter --alt d1 --v0 1533 --width 0.004 --emin 600 --emax 2600 --well-width 1
+check --v0 scatter --alt d1 --v0 1533 --emin 600 --emax 2600 --well-depth 766.5 --well-width 0.0039
+check --target kinematics --deps 818.8 --branch + --target 576
+check --theta kinematics invert --deps 818.835 --branch + --target 576 --theta 10

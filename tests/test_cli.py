@@ -142,6 +142,23 @@ def test_scatter_well_mode_needs_width(capsys):
     assert code == 2 and "well-width" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("scatter", "--alt", "d1", "--v0", "1533", "--width", "0.004", "--emin", "600", "--emax", "2600", "--well-width", "1"), "--well-width"),
+        (("scatter", "--alt", "d1", "--v0", "1533", "--emin", "600", "--emax", "2600", "--well-depth", "766.5", "--well-width", "0.0039"), "--v0, --emin, --emax"),
+        (("scatter", "--alt", "d1", "--well-depth", "766.5", "--well-width", "0.0039", "--steps", "50"), "--steps"),
+        (("kinematics", "--deps", "818.8", "--branch", "+", "--target", "576"), "--target"),
+        (("kinematics", "invert", "--deps", "818.835", "--branch", "+", "--target", "576", "--theta", "10"), "--theta"),
+    ],
+)
+def test_flag_of_the_other_mode_exits_2_naming_it(capsys, argv, flag):
+    # each ran the other mode and dropped the flag, with exit 0
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and flag in err
+
+
 def test_scatter_sweep_needs_v0(capsys):
     code, _, err = run_cli(capsys, "scatter", "--alt", "d1", "--emin", "600", "--emax", "700")
     assert code == 2 and "v0" in err

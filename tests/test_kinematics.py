@@ -123,23 +123,24 @@ def test_theta_domain():
 
 def test_solve_theta_published_angles():
     # U+Pb observed 576 keV: Pb:K->K' (+) at 46.4 deg and U:K->K' (+) at 56.0 deg
-    roots = kin.solve_theta(BOOST6, 818.835, "+", 576.0)
-    assert len(roots) == 1
-    assert math.degrees(roots[0]) == pytest.approx(46.4, abs=0.5)
-    roots = kin.solve_theta(BOOST6, 757.438, "+", 576.0)
-    assert math.degrees(roots[0]) == pytest.approx(56.0, abs=0.5)
+    theta = kin.solve_theta(BOOST6, 818.835, "+", 576.0)
+    assert theta is not None
+    assert math.degrees(theta) == pytest.approx(46.4, abs=0.5)
+    theta = kin.solve_theta(BOOST6, 757.438, "+", 576.0)
+    assert theta is not None
+    assert math.degrees(theta) == pytest.approx(56.0, abs=0.5)
 
 
 def test_solve_theta_round_trip_exactness():
     theta = math.radians(45.0)
     target = kin.lab_pair_energy(BOOST6, 900.0, theta, "-").t_lab
-    roots = kin.solve_theta(BOOST6, 900.0, "-", target)
-    assert len(roots) == 1
-    assert math.degrees(roots[0]) == pytest.approx(45.0, abs=1e-3)
+    solved = kin.solve_theta(BOOST6, 900.0, "-", target)
+    assert solved is not None
+    assert math.degrees(solved) == pytest.approx(45.0, abs=1e-3)
 
 
 def test_solve_theta_empty_when_unreachable():
-    assert kin.solve_theta(BOOST6, 500.0, "-", 5000.0) == []
+    assert kin.solve_theta(BOOST6, 500.0, "-", 5000.0) is None
 
 
 def test_round_trip_grid():
@@ -149,8 +150,8 @@ def test_round_trip_grid():
         theta = math.radians(float(rng.uniform(5.0, 85.0)))
         branch = "+" if rng.integers(2) else "-"
         target = kin.lab_pair_energy(BOOST6, deps, theta, branch).t_lab
-        roots = kin.solve_theta(BOOST6, deps, branch, target)
-        assert any(abs(math.degrees(r - theta)) < 1e-3 for r in roots)
+        solved = kin.solve_theta(BOOST6, deps, branch, target)
+        assert solved is not None and abs(math.degrees(solved - theta)) < 1e-3
 
 
 def test_t_lab_monotone_in_cos_theta_minus_branch():
@@ -206,8 +207,9 @@ def test_t_lab_increases_strictly_with_theta(x, deps, branch, a, b):
     assert t_lo < t_hi
 
 
-@settings(max_examples=200, deadline=None)
-@given(
+# solve_theta cases: a target on the T_lab curve at theta, one in ten scaled so
+# that some fall out of reach
+_solve_cases = dict(
     x=st.floats(math.log(0.5), math.log(500.0)).map(math.exp),  # log-uniform MeV/u
     deps=_transition_energies,
     branch=_branches,
@@ -215,25 +217,64 @@ def test_t_lab_increases_strictly_with_theta(x, deps, branch, a, b):
     miss=st.integers(0, 9),
     scale=st.floats(0.5, 1.5),
 )
+
+
+def _solve_target(x, deps, branch, theta, miss, scale):
+    boost = kin.boost_from_beam_energy(x)
+    return boost, kin.lab_pair_energy(boost, deps, math.radians(theta), branch).t_lab * (scale if miss == 0 else 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_solve_cases)
 def test_solve_theta_finds_the_one_root_a_bisection_oracle_finds(x, deps, branch, theta, miss, scale):
     # one target in ten is scaled, so that some fall out of reach.  T_lab is
     # monotone in theta, so a root exists exactly when [0.1, 90] degrees
     # brackets a sign change, and bisection over that bracket is the oracle.
-    boost = kin.boost_from_beam_energy(x)
-    target = kin.lab_pair_energy(boost, deps, math.radians(theta), branch).t_lab * (scale if miss == 0 else 1.0)
+    boost, target = _solve_target(x, deps, branch, theta, miss, scale)
     assume(target > 0.0)  # the "+" branch's T_lab is negative at small angles; solve_theta takes positive targets
 
     def f(deg):
         return kin.lab_pair_energy(boost, deps, math.radians(deg), branch).t_lab - target
 
     lo, hi = f(0.1), f(90.0)
-    roots = kin.solve_theta(boost, deps, branch, target)
+    solved = kin.solve_theta(boost, deps, branch, target)
     if (lo > 0.0) == (hi > 0.0) and lo != 0.0 and hi != 0.0:
-        assert roots == []
+        assert solved is None
     else:
         oracle = bisect_root(f, 0.1, 90.0, 1e-9, fa=lo, fb=hi)
-        assert len(roots) == 1
-        assert abs(math.degrees(roots[0]) - oracle) <= 1e-4
+        assert solved is not None
+        assert abs(math.degrees(solved) - oracle) <= 1e-4
+
+
+def _every_scan_root(boost, deps, branch, target):
+    """Every root of a full 900-point scan, ascending in radians: solve_theta's former body, as a reference."""
+
+    def f(deg):
+        return kin.lab_pair_energy(boost, deps, math.radians(deg), branch).t_lab - target
+
+    grid = [0.1 + i * 0.1 for i in range(900)]
+    grid[-1] = min(grid[-1], 90.0)
+    vals = [f(deg) for deg in grid]
+    roots = [a for a, fa in zip(grid, vals) if fa == 0.0]
+    for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
+        if fa != 0.0 and (fa > 0.0) != (fb > 0.0):
+            roots.append(bisect_root(f, a, b, 1e-4, fa=fa, fb=fb))
+    return [math.radians(deg) for deg in sorted(set(roots))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_solve_cases)
+@example(x=6.0, deps=818.835, branch="-", theta=0.1 + 449 * 0.1, miss=1, scale=1.0)  # exact zero at a grid angle
+@example(x=6.0, deps=818.835, branch="-", theta=0.1, miss=0, scale=0.5)  # below reach
+@example(x=6.0, deps=818.835, branch="-", theta=90.0, miss=0, scale=1.5)  # above reach
+def test_solve_theta_returns_the_one_root_a_full_scan_finds(x, deps, branch, theta, miss, scale):
+    # stopping at the first bracket loses nothing: the full scan never finds
+    # a second root, and the one it finds is the same float
+    boost, target = _solve_target(x, deps, branch, theta, miss, scale)
+    assume(target > 0.0)
+    roots = _every_scan_root(boost, deps, branch, target)
+    assert len(roots) <= 1
+    assert kin.solve_theta(boost, deps, branch, target) == (roots[0] if roots else None)
 
 
 @pytest.mark.parametrize("branch", ["+", "-"])
