@@ -46,9 +46,21 @@ def _csv_quoted(x) -> str:
     return text
 
 
+def _float64_array(col) -> bool:
+    # an ndarray's dtype says every cell is a float, with no scan of the cells and no numpy import
+    return getattr(col, "dtype", None) == "float64"
+
+
 def _csv_cell(col):
-    if set(map(type, col)) <= {float}:
+    types = {float} if _float64_array(col) else set(map(type, col))
+    if types <= {float}:
         return "%.10g", None
+    if types <= {str}:
+        # the distinct values decide the quoting, and each is quoted once
+        distinct = set(col)
+        if any(c in "".join(distinct) for c in _CSV_SPECIAL):
+            return "%s", {x: _csv_quoted(x) for x in distinct}.__getitem__
+        return "%s", None
     # one scan of the column's text decides whether any of its cells needs quoting
     text = "".join(x for x in col if isinstance(x, str))
     if any(c in text for c in _CSV_SPECIAL):
@@ -60,13 +72,17 @@ def _json_cell(col):
     import json
     from json.encoder import encode_basestring_ascii
 
+    if _float64_array(col):
+        import numpy as np  # loaded already: col is an ndarray
+
+        return ("%r", None) if np.isfinite(col).all() else ("%s", json.dumps)
     types = set(map(type, col))
     # a sum of floats is finite only if every cell is; a sum that overflows
     # merely sends a finite column down the per-cell path
     if types <= {float} and math.isfinite(sum(col)):
         return "%r", None
     if types <= {str}:
-        return "%s", encode_basestring_ascii
+        return "%s", {x: encode_basestring_ascii(x) for x in set(col)}.__getitem__
     return "%s", json.dumps
 
 
@@ -76,7 +92,8 @@ def _render(cols, cell, row_template) -> str:
     ``cell(col)`` picks a column's ``%`` spec and the function that renders
     each of its cells to text, or None to hand the cells to the spec as they
     are; ``row_template(specs)`` builds one row from the specs.  The flat
-    argument list is filled a column at a time.
+    argument list is filled a column at a time, and an ndarray column is
+    turned into a list of Python scalars once, after its renderer is picked.
     """
     k, n = len(cols), len(cols[0])
     flat = [None] * (k * n)
@@ -84,6 +101,8 @@ def _render(cols, cell, row_template) -> str:
     for i, col in enumerate(cols):
         spec, render = cell(col)
         specs.append(spec)
+        if hasattr(col, "dtype"):
+            col = col.tolist()
         flat[i::k] = col if render is None else map(render, col)
     return row_template(specs) * n % tuple(flat)
 
@@ -92,26 +111,36 @@ def _emit(args, constants, columns, payload=None, extra_header=None) -> None:
     """Write CSV (default) or JSON to stdout with the constants header.
 
     ``columns`` maps each column name, in output order, to the sequence of
-    its cells; every column has the same length.  ``extra_header`` is a dict
-    of derived scalars printed as an extra comment line (CSV) or merged into
-    the document (JSON).  ``payload``, a dict, stands in for the rows in the
-    JSON document; CSV always writes the columns.
+    its cells, a list or a 1-D ndarray; every column has the same length.
+    An ndarray is written as its ``.tolist()`` would be.  ``extra_header``
+    is a dict of derived scalars printed as an extra comment line (CSV) or
+    merged into the document (JSON).  ``payload``, a dict, stands in for the
+    rows in the JSON document; CSV always writes the columns.
 
     Both bodies are one ``%`` of a per-column row template repeated once per
-    row, filled a column at a time (``_render``).  In CSV a column whose
-    cells are all exactly ``float`` is rendered by ``%.10g`` and every other
-    column (str, int, bool, None, numpy scalars, mixed) by ``_fmt`` once per
-    cell, except that a text cell holding ``,``, ``"``, CR or LF is quoted
-    as in RFC 4180, with ``"`` doubled inside; a column with no such cell
-    is written as ``",".join(map(_fmt, row))`` per row.  In
-    JSON the columns go in sorted key order; a column of finite, exactly
-    ``float`` cells is rendered by ``%r`` (``float.__repr__``, as ``json``
-    does), an all-``str`` column by ``encode_basestring_ascii``, and every
-    other column (nan or inf, numpy scalars, bool, None, int, mixed) by
-    ``json.dumps`` once per cell.  The rest of the document goes through
-    ``json.dumps``, and ``"rows"`` sorts after ``"constants"`` and
-    ``"derived"``, so the bytes are those of
-    ``json.dumps(doc, indent=2, sort_keys=True)`` with the rows as dicts.
+    row, filled a column at a time (``_render``), and each column's renderer
+    is picked once, on one of three paths:
+
+    - floats: a float64 ndarray, known from its dtype, or a list whose cells
+      are all exactly ``float``.  CSV writes them with ``%.10g``; JSON with
+      ``%r`` (``float.__repr__``, as ``json`` does) when every cell is
+      finite, and otherwise with ``json.dumps`` once per cell.
+    - text: a column whose cells are all exactly ``str``.  Its distinct
+      values decide and render it: in CSV a column in which none holds
+      ``,``, ``"``, CR or LF goes to ``%s`` as it is, and otherwise each
+      distinct value is quoted once, as in RFC 4180 with ``"`` doubled
+      inside, and looked up per cell; in JSON each distinct value is
+      escaped once by ``encode_basestring_ascii`` and looked up per cell.
+    - everything else (int, bool, None, numpy scalars, mixed): ``_fmt`` in
+      CSV, with a text cell quoted as above, and ``json.dumps`` in JSON,
+      once per cell.  Values that hash equal but render differently
+      (``True`` and ``1``, ``0.0`` and ``-0.0``) never share a rendering.
+
+    So the CSV body is ``",".join(map(_fmt, row))`` per row, with the text
+    cells that need it quoted.  In JSON the columns go in sorted key order,
+    the rest of the document goes through ``json.dumps``, and ``"rows"``
+    sorts after ``"constants"`` and ``"derived"``, so the bytes are those
+    of ``json.dumps(doc, indent=2, sort_keys=True)`` with the rows as dicts.
     """
     header = {
         "m_e_keV": constants.electron_rest_energy,
@@ -130,7 +159,7 @@ def _emit(args, constants, columns, payload=None, extra_header=None) -> None:
         text = json.dumps(doc, indent=2, sort_keys=True)
         if payload is None:
             rows = "[]"
-            if cols[0]:
+            if len(cols[0]):
                 order = sorted(range(len(names)), key=names.__getitem__)
                 keys = [json.dumps(names[i]).replace("%", "%%") for i in order]
                 body = _render(
@@ -239,13 +268,7 @@ def _cmd_scatter(args, constants) -> int:
     else:
         with _flags("--v0", "--emin", "--emax"):
             res = scatter1d.step_transmission(alt, args.v0, energies, constants)
-    columns = {
-        "E": energies.tolist(),
-        "T": res.T.tolist(),
-        "R": res.R.tolist(),
-        "classification": res.classification.tolist(),
-    }
-    _emit(args, constants, columns)
+    _emit(args, constants, {"E": energies, "T": res.T, "R": res.R, "classification": res.classification.tolist()})
     return 0
 
 
@@ -297,7 +320,7 @@ def _cmd_zbw(args, constants) -> int:
     times = np.linspace(0.0, args.tmax, args.tsteps)
     with _flags("--dwidth", "--p0", "--tmax"):
         prob = wavepacket.probability_current(packet, times, constants)
-    columns = {"t": times.tolist(), "prob_current": prob.tolist(), "charge_current": [charge] * len(times)}
+    columns = {"t": times, "prob_current": prob, "charge_current": [charge] * len(times)}
     _emit(args, constants, columns, extra_header=extra)
     return 0
 
@@ -393,9 +416,9 @@ def _cmd_counting_time(args, constants) -> int:
     xs = np.linspace(args.xmin, args.xmax, args.steps)
     with _flags("--x0", "--xmin", "--xmax"):
         columns = {
-            "x": xs.tolist(),
-            "tau_baseline": decaymodel.counting_time(xs, args.x0, "baseline").tolist(),
-            "tau_metastable": decaymodel.counting_time(xs, args.x0, "metastable").tolist(),
+            "x": xs,
+            "tau_baseline": decaymodel.counting_time(xs, args.x0, "baseline"),
+            "tau_metastable": decaymodel.counting_time(xs, args.x0, "metastable"),
         }
     extra = {"optimal_x": x_opt, "tau_min": tau_min, "sigma_ep_rel_at_optimum": sigma_opt}
     _emit(args, constants, columns, extra_header=extra)
@@ -413,7 +436,7 @@ def _cmd_lineshape(args, constants) -> int:
     ts = np.linspace(args.tmin, args.tmax, args.steps)
     with _flags("--deps", "--tmin", "--tmax", "--scale", "--shift", "--bin-width"):
         dens = decaymodel.threshold_lineshape(ts, args.deps, args.scale, args.shift, args.bin_width)
-    _emit(args, constants, {"T_sum_keV": ts.tolist(), "density": dens.tolist()})
+    _emit(args, constants, {"T_sum_keV": ts, "density": dens})
     return 0
 
 

@@ -189,7 +189,8 @@ def _transmission(alt: Alternative, values, edges, e, constants: Constants) -> S
         raise ValueError("no incident propagating mode in the leftmost region")
     blocked = forbidden.any(axis=0) | ~propagating[-1]
     tunnelling = (~propagating[1:-1]).any(axis=0)
-    klein = (propagating & (eps < 0.0)).any(axis=0)
+    # Klein: a region propagates on the branch opposite to E's, which for E > 0 means eps < 0
+    klein = (propagating & (eps * energies < 0.0)).any(axis=0)
     classification = _CLASSIFICATIONS[np.select([blocked, tunnelling, klein], [0, 1, 2], 3)]
 
     # Interface j joins region j to region j+1, with amplitudes referenced at

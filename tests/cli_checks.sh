@@ -96,8 +96,12 @@ test "$(wc -l < "$TMP/err")" -eq 1
 grep -q '^check failed: [1-9][0-9]* headline rows out of tolerance$' "$TMP/err"
 
 # Same output from two processes with different hash seeds; in-process tests
-# share one hash seed, so they cannot see output whose order depends on it
+# share one hash seed, so they cannot see output whose order depends on it.
+# CSV text columns (classification, match's system and transition) are
+# rendered from their set of distinct values.
 for args in "counting-time --x0 1 --xmin 0.1 --xmax 10 --steps 200" \
+            "scatter --alt d1 --v0 1533 --width 0.004 --emin 600 --emax 2600" \
+            "match --catalog tests/data/catalog_u_pb_576.json" \
             "counting-time --x0 1 --xmin 0.1 --xmax 10 --steps 200 --format json" \
             "scatter --alt d2 --v0 1533 --emin 520 --emax 5110 --steps 100 --format json" \
             "scatter --alt d1 --well-depth 766.5 --well-width 0.0039" \

@@ -649,6 +649,13 @@ def _row_document(columns, rows):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _assert_same_text(got, expected):
+    # the first differing line first: pytest's diff of two long texts that differ on every row runs for minutes
+    first = next((pair for pair in zip(got.splitlines(), expected.splitlines()) if pair[0] != pair[1]), None)
+    assert first is None, first
+    assert got == expected
+
+
 _FLOATS = st.one_of(
     st.floats(),
     st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300, math.inf, -math.inf, math.nan)),
@@ -669,11 +676,19 @@ _NAMES = st.one_of(st.sampled_from(("T", "E_keV", "R", "classification", "level"
 
 @st.composite
 def _tables(draw):
-    """Columns name -> cells: 1-4 columns, each of one cell kind, and 0-6 rows."""
+    """Columns name -> cells: 1-4 columns, each of one cell kind, and 0-6 rows.
+
+    A float column is a list or, as the numpy subcommands hand it over, a
+    float64 ndarray.
+    """
     kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=4))
     names = draw(st.lists(_NAMES, min_size=len(kinds), max_size=len(kinds), unique=True))
     n_rows = draw(st.integers(0, 6))
-    return {name: draw(st.lists(_CELLS[kind], min_size=n_rows, max_size=n_rows)) for name, kind in zip(names, kinds)}
+    columns = {}
+    for name, kind in zip(names, kinds):
+        cells = draw(st.lists(_CELLS[kind], min_size=n_rows, max_size=n_rows))
+        columns[name] = np.array(cells, dtype=np.float64) if kind == "float" and draw(st.booleans()) else cells
+    return columns
 
 
 @settings(max_examples=300, deadline=None)
@@ -689,11 +704,19 @@ def _tables(draw):
 @example(columns={"big": [1e308, 1e308]})
 @example(columns={'a"\\\x01é': ['"\\\x1f\n', "\U0001f600€"]})
 @example(columns={"spectrometer": ["EPOS, run 2\r\n", "sum"], "flags": ['a "b"', None]})
+# a long text column whose two distinct values are each rendered once
+@example(columns={"flags": ['no "root", 90 deg', "ok"] * 500, "E": np.linspace(520.0, 5110.0, 1000)})
+@example(columns={"classification": ["klein_zone", "classical"] * 500})
+# values that hash equal but render differently must not share a rendering
+@example(columns={"c0": [True, 1, 1, True], "c1": [1, True, 0, False]})
+@example(columns={"zero": [np.float64(-0.0), np.float64(0.0), np.float64(-0.0)]})
+@example(columns={"E": np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308]), "c1": ["a"] * 6})
+@example(columns={"E": np.array([]), "T": []})
 def test_csv_body_matches_the_per_row_join(columns):
     rows = list(zip(*columns.values()))
     expected = _emitted({name: [] for name in columns}) + "".join(_row_oracle(row) + "\n" for row in rows)
-    assert _emitted(columns) == expected
-    assert _emitted(columns, "json") == _row_document(list(columns), rows)
+    _assert_same_text(_emitted(columns), expected)
+    _assert_same_text(_emitted(columns, "json"), _row_document(list(columns), rows))
 
 
 # --- parser reuse ---------------------------------------------------------------

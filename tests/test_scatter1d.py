@@ -97,6 +97,14 @@ def test_step_no_potential_is_transparent():
             assert res.T == pytest.approx(1.0, abs=1e-12)
 
 
+def test_free_space_below_minus_m_is_classical():
+    # the propagating eps < 0 of E < -m is E's own branch, not the Klein zone
+    for alt in (D1, D2):
+        res = sc.step_transmission(alt, 0.0, -2.0 * M)
+        assert res.classification == sc.CLASSICAL
+        assert res.T == pytest.approx(1.0, abs=1e-12)
+
+
 def test_step_requires_incident_mode():
     with pytest.raises(ValueError):
         sc.step_transmission(D1, 2 * M, 0.5 * M)

@@ -1,14 +1,14 @@
-"""Property tests of the scattering core: flux conservation, batching, and a dense reference."""
+"""Property tests of the scattering core: flux conservation, batching, a dense reference and D2's mirror symmetry."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diracpair import scatter1d as sc
-from diracpair.core import Alternative, DEFAULT_CONSTANTS
+from diracpair.core import Alternative, DEFAULT_CONSTANTS, ROOT_TOLERANCE
 
 M = DEFAULT_CONSTANTS.electron_rest_energy
 D1, D2 = Alternative.D1, Alternative.D2
@@ -75,6 +75,48 @@ def test_d2_spectrum_is_symmetric(v, f):
     up, down = sc.dispersion(D2, v * M, f * M), sc.dispersion(D2, v * M, -f * M)
     assert up.regime == down.regime
     assert math.isclose(up.k, down.k, rel_tol=1e-12, abs_tol=0.0)
+
+
+# --- D2's mirror symmetry ------------------------------------------------------
+#
+# D2 couples V through sgn(E), so its spectrum is the mirror of its positive
+# half: transmission at -E equals that at E, nothing is ever Klein, and the
+# well levels are D1's positive ones with no level at or below zero.
+
+# 1-7 interior regions with V within +-4m; |E| in (1.001m, 8m)
+few_region_profiles = profiles(max_regions=9)
+mirror_energies = st.floats(1.001, 8.0, exclude_min=True)
+# a barrier whose top sits 1.5m above E = 1.5m: under D1 it propagates on the lower branch
+KLEIN_BARRIER = sc.PotentialProfile.barrier(3.0 * M, 0.002)
+
+
+@settings(max_examples=80, deadline=None)
+@given(few_region_profiles, mirror_energies)
+@example(KLEIN_BARRIER, 1.5)
+def test_d2_transmission_is_the_same_at_minus_e(profile, f):
+    up, down = sc.barrier_transmission(D2, profile, f * M), sc.barrier_transmission(D2, profile, -f * M)
+    assert abs(up.T - down.T) <= 1e-12
+    assert abs(up.R - down.R) <= 1e-12
+    assert up.classification == down.classification
+    assert sc.KLEIN_ZONE not in (up.classification, down.classification)
+
+
+def test_d1_breaks_the_mirror_in_its_klein_zone():
+    up, down = sc.barrier_transmission(D1, KLEIN_BARRIER, 1.5 * M), sc.barrier_transmission(D1, KLEIN_BARRIER, -1.5 * M)
+    assert (up.classification, down.classification) == (sc.KLEIN_ZONE, sc.CLASSICAL)
+    assert abs(up.T - down.T) > 1e-3
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(10.0, 20000.0), st.floats(1e-4, 0.5))
+# D1 has a level at about -180.5 keV, which D2 does not mirror
+@example(1000.0, 0.0039)
+def test_d2_well_levels_are_the_positive_d1_levels(depth, width):
+    d1 = [e for e in sc.square_well_bound_states(D1, depth, width) if 0.0 < e < M]
+    d2 = sc.square_well_bound_states(D2, depth, width)
+    assert all(e > 0.0 for e in d2)
+    assert len(d2) == len(d1)
+    assert all(abs(a - b) <= 2.0 * ROOT_TOLERANCE * M for a, b in zip(d1, d2))
 
 
 def test_array_call_rejects_a_non_propagating_incident_side():
