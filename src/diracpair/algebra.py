@@ -1,11 +1,10 @@
 """Finite-matrix verification of the Dirac operator content.
 
-Everything here is exact 4x4 (or 2x2 for the one-dimensional reduction)
-complex linear algebra: Clifford relations, the charge-conjugation matrix,
-energy projectors, the sign-of-energy operator, the charge-current identity,
-and the C/P/tau transformation laws for both potential couplings.  Residuals
-are reported relative to the scale of the compared operators so keV-sized
-entries do not inflate them.
+Everything here is exact 4x4 complex linear algebra: Clifford relations,
+the charge-conjugation matrix, energy projectors, the sign-of-energy operator,
+the charge-current identity, and the C/P/tau transformation laws for both
+potential couplings.  Residuals are reported relative to the scale of the
+compared operators so keV-sized entries do not inflate them.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Constants, DEFAULT_CONSTANTS, energy_of_momentum
+from .core import Constants, DEFAULT_CONSTANTS
 
 __all__ = [
     "DiracMatrices",
@@ -23,14 +22,12 @@ __all__ = [
     "casimir_projectors",
     "charge_current_identity",
     "clifford_residuals",
-    "dirac_matrices_1d",
     "energy_p",
     "find_conjugation_matrix",
     "free_hamiltonian",
     "interaction_hamiltonian",
     "sign_energy",
     "spin_matrices",
-    "spinor_u",
     "spinor_v",
     "transformation_checks",
 ]
@@ -138,30 +135,16 @@ def interaction_hamiltonian(m: DiracMatrices, A=(0.0, 0.0, 0.0), Phi: float = 0.
     return h
 
 
-def spinor_u(p, s: int, constants: Constants = DEFAULT_CONSTANTS) -> np.ndarray:
-    """Positive-energy eigenspinor of H0(p), unit normalized, spin index s in {1, 2}."""
-    return _spinor(p, s, +1, constants)
-
-
 def spinor_v(p, s: int, constants: Constants = DEFAULT_CONSTANTS) -> np.ndarray:
     """Negative-energy eigenspinor of H0(p), unit normalized, spin index s in {1, 2}."""
-    return _spinor(p, s, -1, constants)
-
-
-def _spinor(p, s, sign, constants):
     if s not in (1, 2):
         raise ValueError("spin index must be 1 or 2")
     p = np.asarray(p, dtype=float)
-    m = constants.m
     e = energy_p(p, constants)
     chi = np.zeros(2, dtype=complex)
     chi[s - 1] = 1.0
     sp = sum(si * pi for si, pi in zip(_PAULI, p))
-    small = (sp @ chi) / (e + m)
-    if sign > 0:
-        out = np.concatenate([chi, small])
-    else:
-        out = np.concatenate([-small, chi])
+    out = np.concatenate([-(sp @ chi) / (e + constants.m), chi])
     return out / np.linalg.norm(out)
 
 
@@ -332,27 +315,3 @@ def appendix_identities(
         worst_b3 = max(worst_b3, _rel_residual(lhs, rhs))
 
     return {"momentum_identity": worst_a3, "spin_identity": worst_b3}
-
-
-# --- one-dimensional (spinless) reduction ------------------------------------
-
-
-def dirac_matrices_1d() -> tuple[np.ndarray, np.ndarray]:
-    """The 2x2 reduction used by the 1-D modules: alpha = sigma_x, beta = sigma_z."""
-    return _PAULI[0].copy(), _PAULI[2].copy()
-
-
-def spinor_u_1d(p: float, constants: Constants = DEFAULT_CONSTANTS) -> np.ndarray:
-    """Unit-normalized +E eigenspinor of sigma_x p + sigma_z m."""
-    m = constants.m
-    e = energy_of_momentum(p, constants)
-    out = np.array([1.0, p / (e + m)], dtype=complex)
-    return out / np.linalg.norm(out)
-
-
-def spinor_v_1d(p: float, constants: Constants = DEFAULT_CONSTANTS) -> np.ndarray:
-    """Unit-normalized -E eigenspinor of sigma_x p + sigma_z m."""
-    m = constants.m
-    e = energy_of_momentum(p, constants)
-    out = np.array([-p / (e + m), 1.0], dtype=complex)
-    return out / np.linalg.norm(out)

@@ -30,8 +30,6 @@ __all__ = [
     "IonBoost",
     "PairSolution",
     "boost_from_beam_energy",
-    "defining_residual",
-    "gamma_e_solutions",
     "lab_pair_energy",
     "solve_theta",
 ]
@@ -103,23 +101,6 @@ def _gamma_excess(delta_eps: float, r: float, constants: Constants) -> tuple[flo
     if not math.isfinite(plus * (plus + 2.0)):
         raise ValueError("delta_eps is too large: the pair's Lorentz factor overflows")
     return plus, (d * (d / lifted) if d > 0.0 else 0.0)
-
-
-def gamma_e_solutions(delta_eps: float, r: float, constants: Constants = DEFAULT_CONSTANTS) -> tuple[float, float]:
-    """Both closed-form roots (gamma_plus, gamma_minus) of the emission equation."""
-    plus, minus = _gamma_excess(delta_eps, r, constants)
-    return 1.0 + plus, 1.0 + minus
-
-
-def defining_residual(gamma_e: float, delta_eps: float, r: float, branch: str, constants: Constants = DEFAULT_CONSTANTS) -> float:
-    """Residual of the branch-signed emission equation at gamma_e.
-
-    The "-" branch satisfies d + 1 - gamma = +R sqrt(gamma^2 - 1); the "+"
-    branch carries the opposite sign of the square-root term.
-    """
-    sign = _check_branch(branch)
-    d = delta_eps / (2.0 * constants.m)
-    return d + 1.0 - gamma_e + sign * r * math.sqrt(max(gamma_e * gamma_e - 1.0, 0.0))
 
 
 def lab_pair_energy(

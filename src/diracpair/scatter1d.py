@@ -34,24 +34,15 @@ from .core import Alternative, Constants, DEFAULT_CONSTANTS, MAX_COUNT, ROOT_TOL
 
 __all__ = [
     "CLASSICAL",
-    "EVANESCENT",
     "EVANESCENT_TUNNELING",
-    "FORBIDDEN",
     "GAP_BLOCKED",
     "KLEIN_ZONE",
-    "PROPAGATING",
     "PotentialProfile",
-    "RegionMode",
     "ScatterResult",
     "barrier_transmission",
-    "dispersion",
     "square_well_bound_states",
     "step_transmission",
 ]
-
-PROPAGATING = "propagating"
-EVANESCENT = "evanescent"
-FORBIDDEN = "forbidden"
 
 CLASSICAL = "classical"
 KLEIN_ZONE = "klein_zone"
@@ -82,6 +73,8 @@ class PotentialProfile:
         require_finite("profile values", self.values)
         if len(self.values) != len(self.edges) + 1:
             raise ValueError("need exactly one more region value than edges")
+        if not self.edges:
+            raise ValueError("a profile needs at least one edge")
         if any(not b > a for a, b in zip(self.edges, self.edges[1:])):
             raise ValueError("region edges must be strictly increasing")
 
@@ -96,21 +89,6 @@ class PotentialProfile:
         if width <= 0.0:
             raise ValueError("barrier width must be positive")
         return cls(edges=(0.0, float(width)), values=(0.0, float(v0), 0.0))
-
-
-@dataclass(frozen=True)
-class RegionMode:
-    """Local mode content of a region at energy E.
-
-    For a propagating regime ``k`` is the wavenumber of the positive-current
-    mode and ``spinor_ratio`` its second/first component ratio; for an
-    evanescent regime ``k`` holds the decay constant kappa and the ratio is
-    that of the rightward-decaying mode.  Forbidden regions carry k = 0.
-    """
-
-    regime: str
-    k: float
-    spinor_ratio: complex
 
 
 @dataclass(frozen=True)
@@ -145,17 +123,6 @@ def _mode_table(alt: Alternative, values, e: np.ndarray, m: float):
     eps = np.where(np.abs(eps) == m, eps * (1.0 - _EDGE_MARGIN), eps)
     lam = np.sqrt((eps - m) / (eps + m) + 0j)
     return forbidden, eps, lam
-
-
-def dispersion(alt: Alternative, v0: float, e: float, constants: Constants = DEFAULT_CONSTANTS) -> RegionMode:
-    """Classify the mode content of a constant-potential region at energy E."""
-    m = constants.m
-    forbidden, eps, lam = _mode_table(alt, (v0,), np.array([float(e)]), m)
-    if forbidden[0, 0]:
-        return RegionMode(regime=FORBIDDEN, k=0.0, spinor_ratio=0.0j)
-    eps, lam = float(eps[0, 0]), complex(lam[0, 0])
-    regime = PROPAGATING if abs(eps) > m else EVANESCENT
-    return RegionMode(regime=regime, k=abs(lam * (eps + m)), spinor_ratio=lam)
 
 
 def _star_reduce(s):

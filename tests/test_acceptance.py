@@ -15,6 +15,7 @@ import pytest
 
 from diracpair import algebra, decaymodel, hydrogenic, kinematics, matcher, scatter1d, wavepacket
 from diracpair.core import Alternative, DEFAULT_CONSTANTS, bisect_root, energy_of_momentum
+from oracles import defining_residual
 
 M = DEFAULT_CONSTANTS.electron_rest_energy
 D1, D2 = Alternative.D1, Alternative.D2
@@ -222,10 +223,10 @@ def test_criterion_09_kinematics():
     for _ in range(1000):
         deps = float(rng.uniform(100.0, 1900.0))
         r = float(rng.uniform(0.0, 0.4))
-        gp, gm = kinematics.gamma_e_solutions(deps, r)
+        gp, gm = (1.0 + excess for excess in kinematics._gamma_excess(deps, r, DEFAULT_CONSTANTS))
         for g, branch in ((gp, "+"), (gm, "-")):
-            worst = max(worst, abs(kinematics.defining_residual(g, deps, r, branch)))
-            f = lambda x: kinematics.defining_residual(x, deps, r, branch)
+            worst = max(worst, abs(defining_residual(g, deps, r, branch)))
+            f = lambda x: defining_residual(x, deps, r, branch)
             oracle = bisect_root(f, max(1.0, g - 0.25), g + 0.25, 1e-12)
             worst = max(worst, abs(oracle - g))
     assert worst < 1e-9

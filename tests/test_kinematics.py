@@ -7,9 +7,16 @@ from hypothesis import strategies as st
 
 from diracpair import kinematics as kin
 from diracpair.core import Constants, DEFAULT_CONSTANTS, bisect_root
+from oracles import defining_residual, gamma_quadratic_roots
 
 M = DEFAULT_CONSTANTS.electron_rest_energy
 BOOST6 = kin.boost_from_beam_energy(6.0)
+
+
+def _gammas(delta_eps, r):
+    """The program's (gamma_plus, gamma_minus), from its cancellation-free excesses."""
+    plus, minus = kin._gamma_excess(delta_eps, r, DEFAULT_CONSTANTS)
+    return 1.0 + plus, 1.0 + minus
 
 
 def test_boost_from_beam_energy():
@@ -29,29 +36,31 @@ def test_small_beam_energy_limit():
 
 
 def test_gamma_solutions_zero_r_collapse():
-    gp, gm = kin.gamma_e_solutions(900.0, 0.0)
+    gp, gm = _gammas(900.0, 0.0)
     assert gp == gm == pytest.approx(1.0 + 900.0 / (2.0 * M), rel=1e-15)
+    assert gamma_quadratic_roots(900.0, 0.0) == pytest.approx((gp, gm), rel=1e-15)
 
 
 def test_gamma_minus_is_one_without_excitation():
     r = 0.07
-    gp, gm = kin.gamma_e_solutions(0.0, r)
+    gp, gm = _gammas(0.0, r)
     assert gm == pytest.approx(1.0, abs=1e-14)
     assert gp > 1.0
 
 
 def test_gamma_solutions_published_example():
     r = (BOOST6.beta_i / BOOST6.gamma_i) * math.cos(math.radians(45.0))
-    gp, gm = kin.gamma_e_solutions(818.8, r)
+    gp, gm = _gammas(818.8, r)
     assert gp == pytest.approx(1.9275, abs=2e-4)
     assert gm == pytest.approx(1.6962, abs=2e-4)
-    assert kin.defining_residual(gp, 818.8, r, "+") == pytest.approx(0.0, abs=1e-12)
-    assert kin.defining_residual(gm, 818.8, r, "-") == pytest.approx(0.0, abs=1e-12)
+    assert defining_residual(gp, 818.8, r, "+") == pytest.approx(0.0, abs=1e-12)
+    assert defining_residual(gm, 818.8, r, "-") == pytest.approx(0.0, abs=1e-12)
+    assert gamma_quadratic_roots(818.8, r) == pytest.approx((gp, gm), rel=1e-14)
 
 
 def test_gamma_solutions_reject_bad_r():
     with pytest.raises(ValueError):
-        kin.gamma_e_solutions(500.0, 1.0)
+        kin._gamma_excess(500.0, 1.0, DEFAULT_CONSTANTS)
 
 
 def test_closed_form_against_bisection_oracle():
@@ -60,10 +69,10 @@ def test_closed_form_against_bisection_oracle():
     for _ in range(1000):
         deps = float(rng.uniform(100.0, 1900.0))
         r = float(rng.uniform(0.0, 0.4))
-        gp, gm = kin.gamma_e_solutions(deps, r)
+        gp, gm = _gammas(deps, r)
         for g, branch in ((gp, "+"), (gm, "-")):
-            worst = max(worst, abs(kin.defining_residual(g, deps, r, branch)))
-            f = lambda x: kin.defining_residual(x, deps, r, branch)
+            worst = max(worst, abs(defining_residual(g, deps, r, branch)))
+            f = lambda x: defining_residual(x, deps, r, branch)
             oracle = bisect_root(f, max(1.0, g - 0.25), g + 0.25, 1e-12)
             worst = max(worst, abs(oracle - g))
     assert worst < 1e-9
@@ -181,10 +190,20 @@ def test_branch_roots_agree_with_bisection_oracle(deps, r):
     # changes sign once on the way.  Each bracket therefore holds exactly one
     # root, found without the closed form.
     d = deps / (2.0 * M)
-    gp, gm = kin.gamma_e_solutions(deps, r)
+    gp, gm = _gammas(deps, r)
     for g, branch, upper in ((gp, "+", (2.0 + d) / (1.0 - r)), (gm, "-", 1.0 + d)):
-        oracle = bisect_root(lambda x: kin.defining_residual(x, deps, r, branch), 1.0, upper, 1e-13)
+        oracle = bisect_root(lambda x: defining_residual(x, deps, r, branch), 1.0, upper, 1e-13)
         assert g == pytest.approx(oracle, rel=1e-10, abs=0.0), branch
+
+
+@settings(max_examples=300, deadline=None)
+@given(deps=st.floats(0.0, 2000.0), r=st.floats(0.0, 0.95))
+# R^2 >> d: gamma_minus - 1 = 5.9e-13, of which the quadratic's difference keeps three digits
+@example(deps=1e-3, r=0.9)
+def test_gamma_excess_matches_the_plain_quadratic(deps, r):
+    # the cancellation-free excesses against the textbook roots, compared as gamma
+    plus, minus = gamma_quadratic_roots(deps, r)
+    assert _gammas(deps, r) == pytest.approx((plus, minus), rel=1e-14, abs=0.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -293,7 +312,7 @@ def test_overflowing_delta_eps_rejected():
         with pytest.raises(ValueError, match="delta_eps is too large"):
             kin.lab_pair_energy(BOOST6, 1e300, math.radians(45.0), branch)
     with pytest.raises(ValueError, match="delta_eps is too large"):
-        kin.gamma_e_solutions(1e300, 0.0)
+        kin._gamma_excess(1e300, 0.0, DEFAULT_CONSTANTS)
     # at theta = 90 degrees (R = 0) the bound is where d (2 + d) overflows
     root_max = math.sqrt(np.finfo(float).max)
     inside = kin.lab_pair_energy(BOOST6, 2.0 * M * 0.999 * root_max, 0.5 * math.pi, "-")

@@ -5,6 +5,7 @@ import pytest
 
 from diracpair import scatter1d as sc
 from diracpair.core import Alternative, DEFAULT_CONSTANTS, ROOT_TOLERANCE, bisect_root
+from oracles import _reference_modes
 
 M = DEFAULT_CONSTANTS.electron_rest_energy
 D1, D2 = Alternative.D1, Alternative.D2
@@ -12,30 +13,45 @@ D1, D2 = Alternative.D1, Alternative.D2
 
 # --- dispersion ---------------------------------------------------------------
 
+PROPAGATING, EVANESCENT, FORBIDDEN = "propagating", "evanescent", "forbidden"
+
+
+def _mode(alt, v0, e):
+    """(regime, k, spinor ratio) of one region at one energy, read from the program's mode table.
+
+    k is the wavenumber of a propagating region and the decay constant of an
+    evanescent one; a D2-forbidden region carries k = 0.
+    """
+    forbidden, eps, lam = sc._mode_table(alt, (v0,), np.array([float(e)]), M)
+    if forbidden[0, 0]:
+        return FORBIDDEN, 0.0, 0j
+    eps, lam = float(eps[0, 0]), complex(lam[0, 0])
+    return (PROPAGATING if abs(eps) > M else EVANESCENT), abs(lam * (eps + M)), lam
+
 
 def test_dispersion_d1_klein_zone_mode():
-    mode = sc.dispersion(D1, 3 * M, 1.5 * M)
-    assert mode.regime == sc.PROPAGATING
-    assert mode.k == pytest.approx(M * math.sqrt(1.25), rel=1e-14)
+    regime, k, _ = _mode(D1, 3 * M, 1.5 * M)
+    assert regime == PROPAGATING
+    assert k == pytest.approx(M * math.sqrt(1.25), rel=1e-14)
 
 
 def test_dispersion_d2_forbidden_window():
-    assert sc.dispersion(D2, 3 * M, 1.5 * M).regime == sc.FORBIDDEN
+    assert _mode(D2, 3 * M, 1.5 * M)[0] == FORBIDDEN
     # no possible current anywhere inside |E| <= V0
     for e in np.linspace(-2.9 * M, 2.9 * M, 17):
         if e == 0.0:
             continue
-        assert sc.dispersion(D2, 3 * M, float(e)).regime == sc.FORBIDDEN
+        assert _mode(D2, 3 * M, float(e))[0] == FORBIDDEN
 
 
 def test_dispersion_free_case():
-    mode = sc.dispersion(D2, 0.0, 2.0 * M)
-    assert mode.regime == sc.PROPAGATING
-    assert mode.k == pytest.approx(M * math.sqrt(3.0), rel=1e-14)
+    regime, k, _ = _mode(D2, 0.0, 2.0 * M)
+    assert regime == PROPAGATING
+    assert k == pytest.approx(M * math.sqrt(3.0), rel=1e-14)
     # boundary E = m is the kappa -> 0 edge of the evanescent window
-    just_inside = sc.dispersion(D2, 0.0, M * (1 - 1e-9))
-    assert just_inside.regime == sc.EVANESCENT
-    assert just_inside.k < 1e-3 * M
+    regime, kappa, _ = _mode(D2, 0.0, M * (1 - 1e-9))
+    assert regime == EVANESCENT
+    assert kappa < 1e-3 * M
 
 
 def test_dispersion_regime_invariants():
@@ -44,34 +60,37 @@ def test_dispersion_regime_invariants():
         v0 = float(rng.uniform(0.0, 4.0)) * M
         e = float(rng.uniform(-6.0, 6.0)) * M
         for alt in (D1, D2):
-            mode = sc.dispersion(alt, v0, e)
-            if mode.regime == sc.PROPAGATING:
+            regime, k, lam = _mode(alt, v0, e)
+            reference = _reference_modes(alt, v0, e)
+            if regime == PROPAGATING:
                 eps = e - v0 if alt is D1 else math.copysign(abs(e) - v0, e)
-                assert mode.k**2 == pytest.approx(eps * eps - M * M, rel=1e-12)
+                assert k**2 == pytest.approx(eps * eps - M * M, rel=1e-12)
                 if alt is D2:
                     assert abs(e) > v0 + M
-            elif mode.regime == sc.EVANESCENT:
+            elif regime == EVANESCENT:
                 eps = e - v0 if alt is D1 else math.copysign(abs(e) - v0, e)
-                assert mode.k**2 == pytest.approx(M * M - eps * eps, rel=1e-12)
-                assert 0.0 < mode.k < M
+                assert k**2 == pytest.approx(M * M - eps * eps, rel=1e-12)
+                assert 0.0 < k < M
             else:
                 assert alt is D2 and abs(e) <= v0
+            # the forward mode's spinor ratio, from the reference's own formula
+            assert (reference is None) == (regime == FORBIDDEN)
+            if reference is not None:
+                assert lam == pytest.approx(reference[0][1], rel=1e-12)
 
 
 def test_propagating_spinor_ratio():
     # upper-branch ratio k/(m + sqrt(m^2 + k^2)) for the rightward mode
     for v0, e in ((0.0, 1.7 * M), (0.4 * M, 2.1 * M)):
-        mode = sc.dispersion(D1, v0, e)
-        k = mode.k
-        assert mode.spinor_ratio == pytest.approx(k / (M + math.sqrt(M * M + k * k)), rel=1e-12)
+        _, k, lam = _mode(D1, v0, e)
+        assert lam == pytest.approx(k / (M + math.sqrt(M * M + k * k)), rel=1e-12)
 
 
 def test_evanescent_spinor_ratio_is_imaginary():
-    mode = sc.dispersion(D2, 3 * M, 3.5 * M)
-    assert mode.regime == sc.EVANESCENT
-    kappa = mode.k
+    regime, kappa, lam = _mode(D2, 3 * M, 3.5 * M)
+    assert regime == EVANESCENT
     expect = 1j * kappa / (M + math.sqrt(M * M - kappa * kappa))
-    assert mode.spinor_ratio == pytest.approx(expect, rel=1e-12)
+    assert lam == pytest.approx(expect, rel=1e-12)
 
 
 def test_d2_interacting_spectrum_symmetric_pairs():
@@ -82,9 +101,9 @@ def test_d2_interacting_spectrum_symmetric_pairs():
         e_plus = v0 + math.sqrt(M * M + k * k)
         e_minus = -e_plus
         for e in (e_plus, e_minus):
-            mode = sc.dispersion(D2, v0, e)
-            assert mode.regime == sc.PROPAGATING
-            assert mode.k == pytest.approx(k, rel=1e-12)
+            regime, got, _ = _mode(D2, v0, e)
+            assert regime == PROPAGATING
+            assert got == pytest.approx(k, rel=1e-12)
 
 
 # --- step transmission --------------------------------------------------------
@@ -198,7 +217,7 @@ def test_transfer_matrix_flux_conservation():
 
 def test_evanescent_barrier_decays_with_width():
     v0, e = 0.5 * M, 1.2 * M
-    kappa = sc.dispersion(D1, v0, e).k
+    _, kappa, _ = _mode(D1, v0, e)
     widths = np.array([2.0, 3.0, 4.0, 5.0]) / M
     ts = np.array([sc.barrier_transmission(D1, sc.PotentialProfile.barrier(v0, float(w)), e).T for w in widths])
     assert np.all(np.diff(ts) < 0.0)
@@ -250,6 +269,10 @@ def test_profile_validation():
         sc.PotentialProfile(edges=(1.0, 0.5), values=(0.0, 1.0, 0.0))
     with pytest.raises(ValueError):
         sc.PotentialProfile(edges=(0.0,), values=(0.0,))
+    # one region has no interface to scatter from: barrier_transmission raised IndexError
+    for alt in (D1, D2):
+        with pytest.raises(ValueError, match="at least one edge"):
+            sc.barrier_transmission(alt, sc.PotentialProfile(edges=(), values=(0.0,)), 1000.0)
 
 
 # --- bound states ---------------------------------------------------------------

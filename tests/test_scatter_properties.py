@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from diracpair import scatter1d as sc
 from diracpair.core import Alternative, DEFAULT_CONSTANTS, ROOT_TOLERANCE
+from oracles import _eps, _reference_modes
 
 M = DEFAULT_CONSTANTS.electron_rest_energy
 D1, D2 = Alternative.D1, Alternative.D2
@@ -72,9 +73,11 @@ def test_array_call_equals_scalar_calls(alt, profile, factors):
 @given(st.floats(-5.0, 5.0), st.floats(0.0, 10.0))
 def test_d2_spectrum_is_symmetric(v, f):
     # D2 couples the potential through sgn(E): the modes at -E mirror those at +E
-    up, down = sc.dispersion(D2, v * M, f * M), sc.dispersion(D2, v * M, -f * M)
-    assert up.regime == down.regime
-    assert math.isclose(up.k, down.k, rel_tol=1e-12, abs_tol=0.0)
+    forbidden, eps, lam = sc._mode_table(D2, (v * M,), np.array([f * M, -f * M]), M)
+    up, down = ((bool(forbidden[0, j]), abs(eps[0, j]) > M) for j in (0, 1))  # (forbidden, propagating)
+    k_up, k_down = (0.0 if forbidden[0, j] else abs(lam[0, j] * (eps[0, j] + M)) for j in (0, 1))
+    assert up == down
+    assert math.isclose(k_up, k_down, rel_tol=1e-12, abs_tol=0.0)
 
 
 # --- D2's mirror symmetry ------------------------------------------------------
@@ -127,24 +130,6 @@ def test_array_call_rejects_a_non_propagating_incident_side():
 
 
 # --- dense matching reference ---------------------------------------------------
-
-
-def _eps(alt, v, e):
-    if alt is D1:
-        return e - v
-    return math.copysign(abs(e) - v, e) if abs(e) > v else None
-
-
-def _reference_modes(alt, v, e):
-    """(exponent, spinor ratio) of the forward and backward mode, or None if D2-forbidden."""
-    eps = _eps(alt, v, e)
-    if eps is None:
-        return None
-    if abs(eps) > M:
-        q = math.copysign(math.sqrt(eps * eps - M * M), eps)  # positive-current wavenumber
-        return (1j * q, (eps - M) / q), (-1j * q, -(eps - M) / q)
-    kappa = math.sqrt(M * M - eps * eps)
-    return (-kappa, 1j * (eps - M) / -kappa), (kappa, 1j * (eps - M) / kappa)
 
 
 def dense_reference(alt, profile, e):

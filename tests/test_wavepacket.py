@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from diracpair import wavepacket as wp
 from diracpair.core import DEFAULT_CONSTANTS, energy_of_momentum
+from oracles import ALPHA_1D, BETA_1D, spinor_u_1d, spinor_v_1d
 
 M = DEFAULT_CONSTANTS.electron_rest_energy
 
@@ -152,16 +153,41 @@ def test_grid_refinement_converges():
 def test_matrix_elements_match_algebra_spinors():
     # the closed forms used in the current sums equal the spinor sandwiches of
     # the shared 1-D representation
-    from diracpair import algebra
-
-    alpha, _ = algebra.dirac_matrices_1d()
     for q in (-900.0, -256.0, 100.0, 511.0, 1500.0):
         e = float(energy_of_momentum(q))
-        u = algebra.spinor_u_1d(q)
-        v = algebra.spinor_v_1d(q)
-        assert np.vdot(u, alpha @ u).real == pytest.approx(q / e, rel=1e-12)
-        assert np.vdot(v, alpha @ v).real == pytest.approx(-q / e, rel=1e-12)
-        assert np.vdot(u, alpha @ v) == pytest.approx(M / e, rel=1e-12)
+        u = spinor_u_1d(q)
+        v = spinor_v_1d(q)
+        assert np.vdot(u, ALPHA_1D @ u).real == pytest.approx(q / e, rel=1e-12)
+        assert np.vdot(v, ALPHA_1D @ v).real == pytest.approx(-q / e, rel=1e-12)
+        assert np.vdot(u, ALPHA_1D @ v) == pytest.approx(M / e, rel=1e-12)
+
+
+@pytest.mark.parametrize("d_width", [3e-4, 0.0075])
+def test_charge_current_operator_has_no_interference_element(d_width):
+    # O = (1/2){sgn(E), alpha} with sgn(E) = (alpha q + beta m)/E_q has no u-v
+    # element, so the charge current has no zitterbewegung, and gives both
+    # branches the velocity q/E_q.  u^+ alpha v = m/E_q is the difference of
+    # two terms near 1/2, so where m/E_q = 0.019 (the d = 3e-4 grid's edge)
+    # rounding alone is 1.1e-14 of it.
+    pk = wp.gaussian_amplitudes(d_width, center=0.8 * M)
+    assert np.array_equal(pk.p_grid, wp.default_grid(d_width))
+    velocity_u, velocity_v, interference = [], [], []
+    for q in pk.p_grid.tolist():
+        e = math.hypot(q, M)
+        sign_e = (ALPHA_1D * q + BETA_1D * M) / e
+        o = 0.5 * (sign_e @ ALPHA_1D + ALPHA_1D @ sign_e)
+        u, v = spinor_u_1d(q), spinor_v_1d(q)
+        assert abs(np.vdot(u, o @ v)) <= 1e-15
+        velocity_u.append(np.vdot(u, o @ u).real)
+        velocity_v.append(np.vdot(v, o @ v).real)
+        interference.append(np.vdot(u, ALPHA_1D @ v))
+        assert (velocity_u[-1], velocity_v[-1]) == pytest.approx((q / e, q / e), rel=1e-14, abs=0.0)
+        assert interference[-1] == pytest.approx(M / e, rel=2e-14, abs=0.0)
+    # the program's current and interference weight are these sandwiches
+    current = -np.sum(np.abs(pk.b) ** 2 * velocity_u + np.abs(pk.dstar) ** 2 * velocity_v) * pk.dp
+    assert wp.charge_current(pk) == pytest.approx(current, rel=1e-12)
+    weight = np.conj(pk.b) * pk.dstar * np.array(interference) * pk.dp
+    assert np.allclose(wp.zitterbewegung_weight(pk), weight, rtol=1e-13, atol=0.0)
 
 
 def test_unnormalized_packet_rejected():
