@@ -155,14 +155,11 @@ def pair_transition_energy(
 
 def transition_table(
     ion: IonSpecies,
-    pairs=DEFAULT_SHELL_PAIRS,
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> list[Transition]:
-    """All listed shell-pair transitions for one ion, ascending in delta_eps."""
-    if not pairs:
-        raise ValueError("empty shell-pair list")
+    """The DEFAULT_SHELL_PAIRS transitions of one ion, ascending in delta_eps, ties by shell labels."""
     rows = [
         pair_transition_energy(ion, Shell.from_label(up), Shell.from_label(lo), constants)
-        for up, lo in pairs
+        for up, lo in DEFAULT_SHELL_PAIRS
     ]
     return sorted(rows, key=lambda t: (t.delta_eps, t.upper.label, t.lower.label))

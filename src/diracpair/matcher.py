@@ -27,6 +27,8 @@ __all__ = [
     "ExperimentRecord",
     "MatchResult",
     "RowReport",
+    "THEORY_REL_TOL",
+    "THETA_ABS_TOL",
     "bundled_catalog",
     "candidate_transitions",
     "load_catalog",
@@ -56,7 +58,6 @@ class ExperimentRecord:
     published_theory_at_45: float | None = None
     published_theta_deg: float | None = None
     flags: tuple[str, ...] = ()
-    note: str = ""
 
     @property
     def comparison_value(self) -> float:
@@ -102,7 +103,7 @@ def _parse_record(raw, index: int) -> ExperimentRecord:
         if observable not in _OBSERVABLES:
             raise ValueError(f"observable must be one of {_OBSERVABLES}, got {observable!r}")
         ion = upper = lower = None
-        if "ion" in raw:
+        if any(key in raw for key in ("ion", "upper", "lower")):
             ion = get_ion(json_field(raw, "ion", str))
             upper = Shell.from_label(json_field(raw, "upper", str))
             lower = Shell.from_label(json_field(raw, "lower", str))
@@ -113,6 +114,7 @@ def _parse_record(raw, index: int) -> ExperimentRecord:
         if observable == "positron_energy" and not math.isfinite(2.0 * observed):
             raise ValueError(f"observed_keV of a positron peak is doubled, so must be at most half the float range, got {observed!r}")
         json_field(raw, "uncertainty_keV", float, None)  # checked, though nothing reads it
+        json_field(raw, "note", str, "")  # checked, though nothing reads it
         return ExperimentRecord(
             system=(beam, target),
             spectrometer=json_field(raw, "spectrometer", str, ""),
@@ -127,7 +129,6 @@ def _parse_record(raw, index: int) -> ExperimentRecord:
             published_theory_at_45=json_field(raw, "published_theory_at_45_keV", float, None),
             published_theta_deg=json_field(raw, "published_theta_deg", float, None),
             flags=tuple(json_field(raw, "flags", list, [])),
-            note=json_field(raw, "note", str, ""),
         )
     except ValueError as exc:
         raise ValueError(f"catalog entry {index}: {exc}") from None
@@ -229,10 +230,9 @@ class RowReport:
     """Regression result for one published table row."""
 
     record: ExperimentRecord
+    transition: Transition
     computed_theory_at_45: float  # same observable space as the published value
     computed_theta_deg: float | None
-    theory_rel_err: float
-    theta_abs_err: float | None
     theory_ok: bool
     theta_ok: bool
     # Participation in the headline acceptance set: marginal rows are out of
@@ -248,7 +248,7 @@ class RowReport:
             "system": rec.system_name,
             "spectrometer": rec.spectrometer,
             "observed_keV": rec.observed,
-            "transition": f"{rec.ion.symbol}:{rec.upper.label}->{rec.lower.label}'",
+            "transition": self.transition.name,
             "branch": rec.branch,
             "published_theory_keV": rec.published_theory_at_45,
             "computed_theory_keV": self.computed_theory_at_45,
@@ -279,19 +279,14 @@ def reproduce_tables(constants: Constants = DEFAULT_CONSTANTS) -> list[RowReport
             theory_obs = theory_pair / 2.0 if rec.observable == "positron_energy" else theory_pair
             theta = solve_theta(boost, tr.delta_eps, rec.branch, rec.comparison_value, constants)
             theta_deg = None if theta is None else math.degrees(theta)
-            rel_err = abs(theory_obs - rec.published_theory_at_45) / rec.published_theory_at_45
-            theta_err = None if theta_deg is None else abs(theta_deg - rec.published_theta_deg)
-            theory_ok = rel_err <= THEORY_REL_TOL
-            theta_ok = theta_err is not None and theta_err <= THETA_ABS_TOL
             reports.append(
                 RowReport(
                     record=rec,
+                    transition=tr,
                     computed_theory_at_45=theory_obs,
                     computed_theta_deg=theta_deg,
-                    theory_rel_err=rel_err,
-                    theta_abs_err=theta_err,
-                    theory_ok=theory_ok,
-                    theta_ok=theta_ok,
+                    theory_ok=abs(theory_obs - rec.published_theory_at_45) / rec.published_theory_at_45 <= THEORY_REL_TOL,
+                    theta_ok=theta_deg is not None and abs(theta_deg - rec.published_theta_deg) <= THETA_ABS_TOL,
                     theory_headline=not rec.flagged_marginal and "published_theory_inconsistent" not in rec.flags,
                     theta_headline=not rec.flagged_marginal and "published_theta_inconsistent" not in rec.flags,
                 )

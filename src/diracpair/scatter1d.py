@@ -79,11 +79,6 @@ class PotentialProfile:
             raise ValueError("region edges must be strictly increasing")
 
     @classmethod
-    def step(cls, v0: float) -> "PotentialProfile":
-        """V = V0 for z > 0."""
-        return cls(edges=(0.0,), values=(0.0, float(v0)))
-
-    @classmethod
     def barrier(cls, v0: float, width: float) -> "PotentialProfile":
         """V = V0 on (0, width)."""
         if width <= 0.0:

@@ -61,15 +61,6 @@ class Packet:
     def density_sum(self) -> float:
         return float(np.sum(np.abs(self.b) ** 2 + np.abs(self.dstar) ** 2) * self.dp)
 
-    def evolve(self, t: float, constants: Constants = DEFAULT_CONSTANTS) -> "Packet":
-        """Free time evolution: phase e^{-iEt} on b and e^{+iEt} on dstar."""
-        e = energy_of_momentum(self.p_grid, constants)
-        return Packet(
-            p_grid=self.p_grid,
-            b=self.b * np.exp(-1.0j * e * t),
-            dstar=self.dstar * np.exp(+1.0j * e * t),
-        )
-
 
 def default_grid(d_width: float, constants: Constants = DEFAULT_CONSTANTS) -> np.ndarray:
     """Symmetric 4096-point momentum grid spanning +-8 max(m, 1/d_width)."""

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from diracpair.core import Alternative, DEFAULT_CONSTANTS
+from diracpair.wavepacket import Packet
 
 M = DEFAULT_CONSTANTS.electron_rest_energy
 
@@ -95,3 +96,13 @@ def spinor_u(p, s):
     sigma_p = sum(si * pi for si, pi in zip(PAULI, p))
     out = np.concatenate([chi, sigma_p @ chi / (math.sqrt(p @ p + M * M) + M)])
     return out / np.linalg.norm(out)
+
+
+# --- wave packets -------------------------------------------------------------------
+
+
+def evolve(packet, t):
+    """Free time evolution of a Packet: phase e^{-iEt} on b and e^{+iEt} on dstar, E = sqrt(q^2 + m^2)."""
+    q = packet.p_grid
+    e = (q * q + M * M) ** 0.5
+    return Packet(p_grid=q, b=packet.b * np.exp(-1.0j * e * t), dstar=packet.dstar * np.exp(+1.0j * e * t))

@@ -358,6 +358,10 @@ def test_invalid_number_exits_2_with_message(capsys, argv, flag):
         # an int beyond the float range: float() raised OverflowError, exit 1
         ("catalog", {"observed_keV": 10**400}, "observed_keV"),
         ("config", {"m_e_keV": 10**400}, "m_e_keV"),
+        # shells without an ion were never read: each ran with exit 0
+        ("catalog", {"upper": 5, "lower": None}, "ion"),
+        ("catalog", {"upper": "K", "lower": "K"}, "ion"),
+        ("catalog", {"lower": "K"}, "ion"),
     ],
 )
 def test_bad_input_file_field_exits_2_naming_it(tmp_path, capsys, kind, entry, field):

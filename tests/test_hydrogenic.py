@@ -99,12 +99,11 @@ def test_same_shell_transition_is_twice_the_level():
 
 
 def test_transition_table_sorted_and_stable():
-    rows = hyd.transition_table(PB, pairs=(("K", "K"), ("K", "L1"), ("K", "L2"), ("L1", "L1"), ("L2", "L2")))
-    assert len(rows) == 5
+    rows = hyd.transition_table(PB)
+    assert len(rows) == len(hyd.DEFAULT_SHELL_PAIRS)
     values = [r.delta_eps for r in rows]
     assert values == sorted(values)
-    again = hyd.transition_table(PB, pairs=(("L2", "L2"), ("K", "K"), ("L1", "L1"), ("K", "L2"), ("K", "L1")))
-    assert [r.name for r in again] == [r.name for r in rows]
+    assert [r.name for r in hyd.transition_table(PB)] == [r.name for r in rows]
 
 
 def test_transition_table_default_includes_m_and_z():
@@ -122,3 +121,9 @@ def test_constants_override_moves_levels():
 def test_unknown_ion():
     with pytest.raises(ValueError, match="Xx"):
         hyd.get_ion("Xx")
+
+
+@pytest.mark.parametrize("z", [0, -1])
+def test_ion_charge_must_be_positive(z):
+    with pytest.raises(ValueError, match="nuclear charge must be positive"):
+        hyd.IonSpecies(symbol="X", Z=z)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from importlib import resources
 
 import pytest
 
@@ -171,12 +172,19 @@ def test_reproduce_tables_headline_rows_pass(reports):
 
 
 def test_flagged_rows_documented_and_still_inconsistent(reports):
-    # every exclusion flag must carry a note and must still be demonstrably
-    # necessary, otherwise the flag has gone stale
-    flagged = [r for r in reports if r.record.flags]
+    # every exclusion flag must carry a note in the bundled JSON and must
+    # still be demonstrably necessary, otherwise the flag has gone stale
+    entries = [
+        entry
+        for name in ("table1", "table2")
+        for entry in json.loads(resources.files("diracpair.data").joinpath(f"{name}.json").read_text(encoding="utf-8"))
+    ]
+    assert len(entries) == len(reports)
+    flagged = [(r, entry) for r, entry in zip(reports, entries) if r.record.flags]
     assert flagged
-    for rep in flagged:
-        assert rep.record.note
+    for rep, entry in flagged:
+        assert tuple(entry["flags"]) == rep.record.flags
+        assert entry["note"]
         if "published_theta_inconsistent" in rep.record.flags:
             assert not rep.theta_ok
         if "published_theory_inconsistent" in rep.record.flags:

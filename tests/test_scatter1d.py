@@ -189,7 +189,7 @@ def test_fig1_shape_d1_step():
 
 
 def test_single_edge_profile_equals_step():
-    prof = sc.PotentialProfile.step(2.4 * M)
+    prof = sc.PotentialProfile(edges=(0.0,), values=(0.0, 2.4 * M))
     for alt in (D1, D2):
         for e in (1.3 * M, 3.6 * M, 5.2 * M):
             a = sc.step_transmission(alt, 2.4 * M, float(e))

@@ -186,7 +186,7 @@ def test_dense_reference_reproduces_the_step_closed_form():
     # guards the reference itself: a two-region profile is the analytic step
     for alt in (D1, D2):
         for e in (1.3 * M, 3.6 * M, 5.2 * M):
-            t_ref, r_ref = dense_reference(alt, sc.PotentialProfile.step(2.4 * M), e)
+            t_ref, r_ref = dense_reference(alt, sc.PotentialProfile(edges=(0.0,), values=(0.0, 2.4 * M)), e)
             step = sc.step_transmission(alt, 2.4 * M, e)
             assert t_ref == pytest.approx(step.T, abs=1e-12)
             assert r_ref == pytest.approx(step.R, abs=1e-12)
