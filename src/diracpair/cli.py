@@ -4,6 +4,12 @@ Every run prints the constants in effect in the report header.  Floating
 output is rendered with 10 significant digits, all energies on the wire are
 keV, and identical invocations produce byte-identical output.
 
+Handlers compute and return; ``main`` emits and sets the exit code.  Each
+``_cmd_*`` returns a dict of ``_emit``'s arguments (``columns``, and where it
+has them ``payload`` and ``extra_header``) and, for a self-check that failed,
+``failed``, the message.  ``main`` emits once, then writes that message as one
+stderr line after the full output and exits 3; otherwise it exits 0.
+
 Each handler imports what it runs: the package modules it calls, and numpy
 where it needs it, load when the handler starts, and ``json`` loads only to
 write JSON.  So a subcommand pays for no module that it never calls, and the
@@ -107,15 +113,17 @@ def _render(cols, cell, row_template) -> str:
     return row_template(specs) * n % tuple(flat)
 
 
-def _emit(args, constants, columns, payload=None, extra_header=None) -> None:
-    """Write CSV (default) or JSON to stdout with the constants header.
+def _emit(fmt, constants, columns, payload=None, extra_header=None) -> None:
+    """Write the columns to stdout as CSV or JSON, as ``fmt`` says, under a header of the constants.
 
-    ``columns`` maps each column name, in output order, to the sequence of
-    its cells, a list or a 1-D ndarray; every column has the same length.
-    An ndarray is written as its ``.tolist()`` would be.  ``extra_header``
-    is a dict of derived scalars printed as an extra comment line (CSV) or
-    merged into the document (JSON).  ``payload``, a dict, stands in for the
-    rows in the JSON document; CSV always writes the columns.
+    ``main`` passes the format (``"csv"`` or ``"json"``) and the constants the
+    command ran with, and the dict the handler returned as the other
+    arguments.  ``columns`` maps each column name, in output order, to the
+    sequence of its cells, a list or a 1-D ndarray; every column has the same
+    length.  An ndarray is written as its ``.tolist()`` would be.
+    ``extra_header`` is a dict of derived scalars printed as an extra comment
+    line (CSV) or merged into the document (JSON).  ``payload``, a dict,
+    stands in for the rows in the JSON document; CSV always writes the columns.
 
     Both bodies are one ``%`` of a per-column row template repeated once per
     row, filled a column at a time (``_render``), and each column's renderer
@@ -148,7 +156,7 @@ def _emit(args, constants, columns, payload=None, extra_header=None) -> None:
         "numeric_tolerance": constants.numeric_tolerance,
     }
     names, cols = list(columns), list(columns.values())
-    if args.format == "json":
+    if fmt == "json":
         import json
 
         doc = {"constants": header}
@@ -189,7 +197,7 @@ def _flags(*names):
         raise ValueError(f"{', '.join(names)}: {exc}") from None
 
 
-def _cmd_algebra_check(args, constants) -> int:
+def _cmd_algebra_check(args, constants) -> dict:
     import numpy as np
 
     from . import algebra
@@ -229,15 +237,12 @@ def _cmd_algebra_check(args, constants) -> int:
     payload = {name: worst[name] for name in sorted(worst)}
     payload["max_residual"] = max(worst.values())
     payload["passed"] = bool(payload["max_residual"] < tol)
-    _emit(args, constants, {"identity": list(payload), "max_residual": list(payload.values())}, payload=payload)
-    if not payload["passed"]:
-        failed = [name for name in sorted(worst) if not worst[name] < tol]
-        print(f"check failed: {', '.join(failed)} residual at or above {tol:g}", file=sys.stderr)
-        return 3
-    return 0
+    failed = [name for name in sorted(worst) if not worst[name] < tol]
+    message = None if payload["passed"] else f"{', '.join(failed)} residual at or above {tol:g}"
+    return dict(columns={"identity": list(payload), "max_residual": list(payload.values())}, payload=payload, failed=message)
 
 
-def _cmd_scatter(args, constants) -> int:
+def _cmd_scatter(args, constants) -> dict:
     import numpy as np
 
     from . import scatter1d
@@ -254,8 +259,7 @@ def _cmd_scatter(args, constants) -> int:
             raise ValueError(f"bound-state mode (--well-depth) does not read {', '.join(given)}")
         with _flags("--well-depth", "--well-width"):
             levels = scatter1d.square_well_bound_states(alt, args.well_depth, args.well_width, constants)
-        _emit(args, constants, {"level": list(range(len(levels))), "E_keV": list(levels)})
-        return 0
+        return dict(columns={"level": list(range(len(levels))), "E_keV": list(levels)})
     if args.v0 is None or args.emin is None or args.emax is None:
         raise ValueError("transmission sweep needs --v0, --emin, and --emax")
     if args.emin <= 0 or args.emax <= args.emin:
@@ -268,11 +272,10 @@ def _cmd_scatter(args, constants) -> int:
     else:
         with _flags("--v0", "--emin", "--emax"):
             res = scatter1d.step_transmission(alt, args.v0, energies, constants)
-    _emit(args, constants, {"E": energies, "T": res.T, "R": res.R, "classification": res.classification.tolist()})
-    return 0
+    return dict(columns={"E": energies, "T": res.T, "R": res.R, "classification": res.classification.tolist()})
 
 
-def _cmd_levels(args, constants) -> int:
+def _cmd_levels(args, constants) -> dict:
     from . import hydrogenic
 
     ion = hydrogenic.get_ion(args.ion)
@@ -281,34 +284,30 @@ def _cmd_levels(args, constants) -> int:
         raise ValueError("no shells given")
     shells = [hydrogenic.Shell.from_label(label) for label in labels]
     e_plus = [hydrogenic.level_energy(ion, shell, constants) for shell in shells]
-    columns = {
+    return dict(columns={
         "ion": [ion.symbol] * len(shells),
         "shell": labels,
         "n": [shell.n for shell in shells],
         "j": [shell.j for shell in shells],
         "E_plus_keV": e_plus,
         "E_minus_keV": [-e for e in e_plus],
-    }
-    _emit(args, constants, columns)
-    return 0
+    })
 
 
-def _cmd_transitions(args, constants) -> int:
+def _cmd_transitions(args, constants) -> dict:
     from . import hydrogenic
 
     ion = hydrogenic.get_ion(args.ion)
     table = hydrogenic.transition_table(ion, constants=constants)
-    columns = {
+    return dict(columns={
         "transition": [tr.name for tr in table],
         "upper": [tr.upper.label for tr in table],
         "lower": [tr.lower.label for tr in table],
         "delta_eps_keV": [tr.delta_eps for tr in table],
-    }
-    _emit(args, constants, columns)
-    return 0
+    })
 
 
-def _cmd_zbw(args, constants) -> int:
+def _cmd_zbw(args, constants) -> dict:
     import numpy as np
 
     from . import wavepacket
@@ -320,12 +319,10 @@ def _cmd_zbw(args, constants) -> int:
     times = np.linspace(0.0, args.tmax, args.tsteps)
     with _flags("--dwidth", "--p0", "--tmax"):
         prob = wavepacket.probability_current(packet, times, constants)
-    columns = {"t": times, "prob_current": prob, "charge_current": [charge] * len(times)}
-    _emit(args, constants, columns, extra_header=extra)
-    return 0
+    return dict(columns={"t": times, "prob_current": prob, "charge_current": [charge] * len(times)}, extra_header=extra)
 
 
-def _cmd_kinematics(args, constants) -> int:
+def _cmd_kinematics(args, constants) -> dict:
     from . import kinematics
 
     with _flags("--x"):
@@ -337,8 +334,7 @@ def _cmd_kinematics(args, constants) -> int:
             raise ValueError("--theta is read only in solve mode")
         with _flags("--deps", "--x", "--target"):
             theta = kinematics.solve_theta(boost, args.deps, args.branch, args.target, constants)
-        _emit(args, constants, {"theta_e_deg": [] if theta is None else [math.degrees(theta)]})
-        return 0
+        return dict(columns={"theta_e_deg": [] if theta is None else [math.degrees(theta)]})
     if args.target is not None:
         raise ValueError("--target is read only in invert mode")
     theta = math.radians(45.0 if args.theta is None else args.theta)
@@ -357,11 +353,10 @@ def _cmd_kinematics(args, constants) -> int:
         "delta_KE_keV": sol.delta_ke,
         "K_cm_keV": sol.k_cm,
     }
-    _emit(args, constants, {name: [value] for name, value in payload.items()}, payload=payload)
-    return 0
+    return dict(columns={name: [value] for name, value in payload.items()}, payload=payload)
 
 
-def _cmd_match(args, constants) -> int:
+def _cmd_match(args, constants) -> dict:
     from . import hydrogenic, matcher
 
     records = matcher.load_catalog(args.catalog)
@@ -375,7 +370,7 @@ def _cmd_match(args, constants) -> int:
         # difference, so what overflows from here on is the beam energy's
         with _flags(f"catalog entry {i}: x_mev_per_u"):
             hits += [(rec, res) for res in matcher.match_peak(rec, top_k=args.top_k, constants=constants)]
-    columns = {
+    return dict(columns={
         "system": [rec.system_name for rec, _ in hits],
         "spectrometer": [rec.spectrometer for rec, _ in hits],
         "observed_keV": [rec.observed for rec, _ in hits],
@@ -384,25 +379,20 @@ def _cmd_match(args, constants) -> int:
         "theory_at_45_keV": [res.theory_at_45 for _, res in hits],
         "residual_keV": [res.residual_at_45 for _, res in hits],
         "theta_e_deg": [res.solved_theta_deg for _, res in hits],
-    }
-    _emit(args, constants, columns)
-    return 0
+    })
 
 
-def _cmd_reproduce_tables(args, constants) -> int:
+def _cmd_reproduce_tables(args, constants) -> dict:
     from . import matcher
 
     reports = matcher.reproduce_tables(constants)
     rows = [rep.as_row() for rep in reports]
-    _emit(args, constants, {c: [row[c] for row in rows] for c in rows[0]})
     failed = sum((r.theory_headline and not r.theory_ok) or (r.theta_headline and not r.theta_ok) for r in reports)
-    if failed:
-        print(f"check failed: {failed} headline rows out of tolerance", file=sys.stderr)
-        return 3
-    return 0
+    message = f"{failed} headline rows out of tolerance" if failed else None
+    return dict(columns={c: [row[c] for row in rows] for c in rows[0]}, failed=message)
 
 
-def _cmd_counting_time(args, constants) -> int:
+def _cmd_counting_time(args, constants) -> dict:
     import numpy as np
 
     from . import decaymodel
@@ -420,12 +410,10 @@ def _cmd_counting_time(args, constants) -> int:
             "tau_baseline": decaymodel.counting_time(xs, args.x0, "baseline"),
             "tau_metastable": decaymodel.counting_time(xs, args.x0, "metastable"),
         }
-    extra = {"optimal_x": x_opt, "tau_min": tau_min, "sigma_ep_rel_at_optimum": sigma_opt}
-    _emit(args, constants, columns, extra_header=extra)
-    return 0
+    return dict(columns=columns, extra_header={"optimal_x": x_opt, "tau_min": tau_min, "sigma_ep_rel_at_optimum": sigma_opt})
 
 
-def _cmd_lineshape(args, constants) -> int:
+def _cmd_lineshape(args, constants) -> dict:
     import numpy as np
 
     from . import decaymodel
@@ -436,8 +424,7 @@ def _cmd_lineshape(args, constants) -> int:
     ts = np.linspace(args.tmin, args.tmax, args.steps)
     with _flags("--deps", "--tmin", "--tmax", "--scale", "--shift", "--bin-width"):
         dens = decaymodel.threshold_lineshape(ts, args.deps, args.scale, args.shift, args.bin_width)
-    _emit(args, constants, {"T_sum_keV": ts, "density": dens})
-    return 0
+    return dict(columns={"T_sum_keV": ts, "density": dens})
 
 
 # --- parser -------------------------------------------------------------------
@@ -546,7 +533,7 @@ def _check_numbers(args) -> None:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and return its exit code.
+    """Run one subcommand, emit what its handler returned, and return the exit code.
 
     The parser is built on the first call and reused by every later call in
     the process, so each subcommand's handler is the one bound at that
@@ -560,7 +547,12 @@ def main(argv=None) -> int:
     try:
         _check_numbers(args)
         constants = load_constants(args.config) if args.config else DEFAULT_CONSTANTS
-        return args.func(args, constants)
+        out = args.func(args, constants)
+        failed = out.pop("failed", None)
+        _emit(args.format, constants, **out)
+        if failed:
+            print(f"check failed: {failed}", file=sys.stderr)
+        return 3 if failed else 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

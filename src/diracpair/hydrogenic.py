@@ -17,8 +17,8 @@ L2=(2,3/2), M=(3,1/2), and Z=(50,1/2) for the near-gap-edge ladder.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
-from importlib import resources
 
 from .core import Constants, DEFAULT_CONSTANTS
 
@@ -107,7 +107,8 @@ class Transition:
 
 
 def _load_ion_database() -> dict[str, IonSpecies]:
-    raw = json.loads(resources.files("diracpair.data").joinpath("ions.json").read_text(encoding="utf-8"))
+    with open(os.path.join(os.path.dirname(__file__), "data", "ions.json"), encoding="utf-8") as f:
+        raw = json.load(f)
     return {sym: IonSpecies(symbol=sym, Z=int(z)) for sym, z in raw.items()}
 
 

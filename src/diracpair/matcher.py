@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
 
 from .core import Constants, DEFAULT_CONSTANTS, json_field
 from .hydrogenic import IonSpecies, Shell, Transition, get_ion, pair_transition_energy, transition_table
@@ -134,23 +133,20 @@ def _parse_record(raw, index: int) -> ExperimentRecord:
         raise ValueError(f"catalog entry {index}: {exc}") from None
 
 
-def _parse_catalog(text: str) -> list[ExperimentRecord]:
-    raw = json.loads(text)
+def load_catalog(source: str | os.PathLike) -> list[ExperimentRecord]:
+    """Parse and validate a catalog file; raises with entry-level diagnostics."""
+    with open(source, encoding="utf-8") as f:
+        raw = json.load(f)
     if not isinstance(raw, list):
         raise ValueError("catalog must be a JSON array of records")
     return [_parse_record(entry, i) for i, entry in enumerate(raw)]
-
-
-def load_catalog(source: str | Path) -> list[ExperimentRecord]:
-    """Parse and validate a catalog file; raises with entry-level diagnostics."""
-    return _parse_catalog(Path(source).read_text(encoding="utf-8"))
 
 
 def bundled_catalog(name: str) -> list[ExperimentRecord]:
     """Load one of the shipped catalogs: 'table1' (pair sums) or 'table2' (positrons)."""
     if name not in ("table1", "table2"):
         raise ValueError("bundled catalogs are 'table1' and 'table2'")
-    return _parse_catalog(resources.files("diracpair.data").joinpath(f"{name}.json").read_text(encoding="utf-8"))
+    return load_catalog(os.path.join(os.path.dirname(__file__), "data", f"{name}.json"))
 
 
 def _theory_at_45(

@@ -1,4 +1,4 @@
-import argparse
+import ast
 import contextlib
 import io
 import json
@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import diracpair
+from diracpair import cli
 from diracpair.cli import _build_parser, _emit, _fmt, main
 from diracpair.core import DEFAULT_CONSTANTS
 
@@ -431,7 +432,7 @@ def test_match_does_not_blame_the_beam_energy_for_a_supercritical_alpha0(tmp_pat
 
 
 def test_reproduce_tables_that_fail_their_check_exit_3(tmp_path, capsys):
-    # a mass inside the domain, far from the electron's: the full table and exit 1 with empty stderr
+    # a mass inside the domain, far from the electron's: the full table, then exit 3 with one stderr line
     path = tmp_path / "constants.json"
     path.write_text(json.dumps({"m_e_keV": 1.3e154}))
     code, out, err = run_cli(capsys, "--config", str(path), "reproduce-tables")
@@ -638,7 +639,7 @@ def _row_oracle(row):
 def _emitted(columns, fmt="csv"):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        _emit(argparse.Namespace(format=fmt), DEFAULT_CONSTANTS, columns)
+        _emit(fmt, DEFAULT_CONSTANTS, columns)
     return out.getvalue()
 
 
@@ -721,6 +722,30 @@ def test_csv_body_matches_the_per_row_join(columns):
     expected = _emitted({name: [] for name in columns}) + "".join(_row_oracle(row) + "\n" for row in rows)
     _assert_same_text(_emitted(columns), expected)
     _assert_same_text(_emitted(columns, "json"), _row_document(list(columns), rows))
+
+
+# --- the output seam ------------------------------------------------------------
+#
+# Handlers compute and return what the command reports; main alone writes it
+# and sets the exit code, so main is the one place that knows where a
+# command's computation ends and its output begins.
+
+_WRITERS = {"_emit", "print", "sys.stdout.write", "sys.stderr.write"}
+
+
+def _calls(node):
+    """The called expressions inside ``node`` as source text, such as ``print`` or ``sys.stderr.write``."""
+    return [ast.unparse(call.func) for call in ast.walk(node) if isinstance(call, ast.Call)]
+
+
+def test_handlers_return_and_only_main_emits():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    handlers = [name for name in functions if name.startswith("_cmd_")]
+    assert len(handlers) == 10
+    for name in handlers:
+        assert not _WRITERS.intersection(_calls(functions[name])), name
+    assert _calls(tree).count("_emit") == _calls(functions["main"]).count("_emit") == 1
 
 
 # --- parser reuse ---------------------------------------------------------------
@@ -830,6 +855,22 @@ for argv in {_NUMPY_FREE_ARGVS!r}:
     assert "numpy" not in sys.modules, argv
 """
     cp = run_fresh(code)
+    assert cp.returncode == 0, cp.stderr
+
+
+def test_numpy_free_subcommands_read_their_data_without_importlib_resources():
+    # -S, because a site module may preload both, as a clean interpreter does not
+    code = f"""
+import contextlib, io, sys
+import diracpair.cli
+for argv in {_NUMPY_FREE_ARGVS + (("match", "--catalog", CATALOG_576),)!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        exit_code = diracpair.cli.main(list(argv))
+    assert exit_code == 0, (argv, exit_code)
+    loaded = [m for m in ("importlib.resources", "pathlib") if m in sys.modules]
+    assert not loaded, (argv, loaded)
+"""
+    cp = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=child_env())
     assert cp.returncode == 0, cp.stderr
 
 

@@ -122,6 +122,30 @@ def test_d2_well_levels_are_the_positive_d1_levels(depth, width):
     assert all(abs(a - b) <= 2.0 * ROOT_TOLERANCE * M for a, b in zip(d1, d2))
 
 
+# --- D2 equals D1 at positive energy ---------------------------------------------
+#
+# Above every region's V, E > 0 makes sgn(E) V = V, so D2's modes are D1's
+# and the two couplings give the same T, R and label bit for bit.  Below the
+# top of a barrier they part, which the companion test pins on the example.
+
+
+@settings(max_examples=80, deadline=None)
+@given(few_region_profiles, mirror_energies)
+# 0.2m above KLEIN_BARRIER's top, inside its evanescent window
+@example(KLEIN_BARRIER, 3.2)
+def test_d2_equals_d1_above_every_region_potential(profile, f):
+    e = f * M
+    assume(max(profile.values) < e)
+    d1, d2 = sc.barrier_transmission(D1, profile, e), sc.barrier_transmission(D2, profile, e)
+    assert (d2.T, d2.R, d2.classification) == (d1.T, d1.R, d1.classification)
+
+
+def test_d2_and_d1_part_below_the_example_barrier_top():
+    d1, d2 = sc.barrier_transmission(D1, KLEIN_BARRIER, 1.5 * M), sc.barrier_transmission(D2, KLEIN_BARRIER, 1.5 * M)
+    assert (d1.classification, d2.classification) == (sc.KLEIN_ZONE, sc.GAP_BLOCKED)
+    assert d1.T > 0.1 and (d2.T, d2.R) == (0.0, 1.0)
+
+
 def test_array_call_rejects_a_non_propagating_incident_side():
     with pytest.raises(ValueError):
         sc.barrier_transmission(D1, sc.PotentialProfile.barrier(M, 1.0 / M), np.array([2.0 * M, 0.5 * M]))
