@@ -317,8 +317,9 @@ def _cmd_zbw(args, constants) -> dict:
         charge = wavepacket.charge_current(packet, constants)
         extra = {"neg_energy_fraction": wavepacket.negative_energy_fraction(packet)}
     times = np.linspace(0.0, args.tmax, args.tsteps)
+    dt = args.tmax / (args.tsteps - 1) if args.tsteps > 1 else 0.0
     with _flags("--dwidth", "--p0", "--tmax"):
-        prob = wavepacket.probability_current(packet, times, constants)
+        prob = wavepacket.probability_current(packet, dt, args.tsteps, constants)
     return dict(columns={"t": times, "prob_current": prob, "charge_current": [charge] * len(times)}, extra_header=extra)
 
 

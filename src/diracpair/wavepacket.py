@@ -10,14 +10,13 @@ constant of the motion, while the probability current <alpha> picks up the
 interference terms oscillating at angular frequency 2 E_q whose amplitude is
 set by |dstar|.
 
-``probability_current`` takes one time or an array of times; a whole series
-is one call.  On a uniform series t_0 + k dt the interference phase factorises
-as e^{2iE(t_J + j dt)}: two phase tables of about 2 sqrt(n) rows per momentum
-in all and a small complex matrix product replace the n complex exponentials
-per momentum of a direct sum.  Each table is filled from one seed row and one
-ratio by repeated doubling, so the two cost 3 complex exponentials per
-momentum.  No phase table, and no product of two, exceeds ``_PHASE_BLOCK``
-complex elements.
+``probability_current`` evaluates the series of n times k dt, k < n, in one
+call.  The interference phase factorises as e^{2iE(J B dt + j dt)}: two
+phase tables of about 2 sqrt(n) rows per momentum in all and a small complex
+matrix product replace the n complex exponentials per momentum of a direct
+sum.  Each table is filled from one seed row and one ratio by repeated
+doubling, so the two cost 2 complex exponentials per momentum.  No phase
+table, and no product of two, exceeds ``_PHASE_BLOCK`` complex elements.
 """
 
 from __future__ import annotations
@@ -69,28 +68,19 @@ def default_grid(d_width: float, constants: Constants = DEFAULT_CONSTANTS) -> np
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow leaves a nan grid or loss or an infinite E_q, rejected below
-def gaussian_amplitudes(
-    d_width: float,
-    grid: np.ndarray | None = None,
-    center: float = 0.0,
-    d_scale: float = 1.0,
-    constants: Constants = DEFAULT_CONSTANTS,
-) -> Packet:
+def gaussian_amplitudes(d_width: float, center: float = 0.0, constants: Constants = DEFAULT_CONSTANTS) -> Packet:
     """Packet for a Gaussian of confinement width d (1/keV), optionally boosted to ``center``.
 
-    b(q) ~ exp(-(q - center)^2 d^2 / 2) and dstar(q) = b(q) q / (E_q + m); the
-    ratio grows toward 1 only when q approaches m, so wide packets are almost
-    purely positive-energy.  ``d_scale`` multiplies dstar before normalization
-    (used to probe how interference scales with the negative-energy content).
-    Raises when the grid does not hold the packet: ``center`` +- 6/d off
-    the grid, a spacing wider than the packet's momentum width 1/d, or an
-    estimated normalization loss > 1e-6.
+    b(q) ~ exp(-(q - center)^2 d^2 / 2) and dstar(q) = b(q) q / (E_q + m) on
+    :func:`default_grid`; the ratio grows toward 1 only when q approaches m,
+    so wide packets are almost purely positive-energy.  Raises when the grid
+    does not hold the packet: ``center`` +- 6/d off the grid, a spacing wider
+    than the packet's momentum width 1/d, or an estimated normalization loss
+    > 1e-6.
     """
     require_finite("d_width", d_width, positive=True)
     require_finite("center", center)
-    if grid is None:
-        grid = default_grid(d_width, constants=constants)
-    grid = np.asarray(grid, dtype=float)
+    grid = default_grid(d_width, constants=constants)
     reach = 6.0 / d_width
     if not grid[0] + reach <= center <= grid[-1] - reach:
         raise ValueError("grid too narrow: it must cover center +- 6/d_width")
@@ -100,7 +90,7 @@ def gaussian_amplitudes(
     m = constants.m
     e = energy_of_momentum(grid, constants)
     b = np.exp(-0.5 * (grid - center) ** 2 * d_width**2).astype(complex)
-    dstar = d_scale * b * grid / (e + m)
+    dstar = b * grid / (e + m)
     density = np.abs(b) ** 2 + np.abs(dstar) ** 2
     total = np.sum(density) * dp
     # Estimate of probability sitting outside the grid from the edge cells.
@@ -124,92 +114,64 @@ def negative_energy_fraction(packet: Packet) -> float:
     return float(np.sum(np.abs(packet.dstar) ** 2) * dp)
 
 
-def probability_current(packet: Packet, t, constants: Constants = DEFAULT_CONSTANTS):
-    """<alpha>(t): drift term plus interference oscillating at 2 E_q.
+def probability_current(packet: Packet, dt: float, n: int, constants: Constants = DEFAULT_CONSTANTS) -> np.ndarray:
+    """<alpha>(k dt) for k < n (n >= 1): drift term plus interference oscillating at 2 E_q.
 
     The diagonal term weights each branch with its group velocity +-q/E_q;
     the cross term couples b and dstar through the spinor matrix element
-    u(q)^dag alpha v(q) = m/E_q and rotates with phase e^{2 i E_q t}.
+    u(q)^dag alpha v(q) = m/E_q and rotates with phase e^{2 i E_q t}.  A
+    series that starts elsewhere than 0 is the series of the packet evolved
+    to its start.
 
-    ``t`` is a scalar or an array of finite times.  A scalar (or 0-d array)
-    gives a float, an array gives an array of its shape.  The interference
-    term is 2 Re(w_q e^{2iE_q t}) summed over q, with w from
-    :func:`zitterbewegung_weight`.  Each time is written t_J + j dt: row J of
-    a base table w_q e^{2iE_q t_J} times column j of an offset table
-    e^{2iE_q j dt}, summed over q, gives it.  A uniform series of n times
-    (see :func:`_phase_tables`) uses ceil(sqrt(n)) offsets and as many block
-    starts or fewer, about 2 sqrt(n) table rows per momentum.  Both tables
-    are geometric in their row: the offset table grows from a row of ones by
-    the ratio e^{2iE_q dt} and the base table from the row w_q e^{2iE_q t_0} by
-    e^{2iE_q B dt}, each filled by repeated doubling (:func:`_geometric_rows`),
-    so the series costs 3 complex exponentials per momentum.  Any other input
-    uses each time as a base, with e^{2iE_q t} evaluated directly, and the one
-    offset 0.  The sum runs over chunks of momenta and base rows, so memory
-    stays bounded for any number of times.
+    The interference term is 2 Re(w_q e^{2iE_q t}) summed over q, with w from
+    :func:`zitterbewegung_weight`.  Time k dt is written (J B + j) dt with
+    B = ceil(sqrt(n)) offsets j < B and ceil(n/B) block starts J: row J of a
+    base table w_q e^{2iE_q J B dt} times column j of an offset table
+    e^{2iE_q j dt}, summed over q, gives it, and the last block may run past
+    the series.  Both tables are geometric in their row: the offset table
+    grows from a row of ones by the ratio e^{2iE_q dt} and the base table
+    from the row w_q by e^{2iE_q B dt}, each filled by repeated doubling
+    (:func:`_geometric_rows`).  The sum runs over chunks of momenta and base
+    rows, so memory stays bounded for any n.
     """
     _require_normalized(packet)
     q = packet.p_grid
     e = energy_of_momentum(q, constants)
     drift = np.sum((np.abs(packet.b) ** 2 - np.abs(packet.dstar) ** 2) * (q / e)) * packet.dp
     w = zitterbewegung_weight(packet, constants)
-    times = np.asarray(t, dtype=float)
-    flat = times.ravel()
-    if not math.isfinite(2.0 * float(np.max(e)) * float(np.max(np.abs(flat), initial=0.0))):
+    if not math.isfinite(2.0 * float(np.max(e)) * abs(dt) * (n - 1)):
         raise ValueError("times must be finite, and so must the phases 2 E_q t")
-    starts, offsets = _phase_tables(flat)
-    uniform = offsets.size > 1
+    width = min(math.isqrt(n - 1) + 1, _PHASE_BLOCK)
+    starts = -(-n // width)
     # momenta per chunk, then block rows per chunk, so that neither phase
-    # table nor their product exceeds _PHASE_BLOCK elements; a uniform series
-    # has no more starts than offsets (up to _PHASE_BLOCK**2 times), so a
-    # chunk's whole base table fits and is built once
-    cols = min(q.size, _PHASE_BLOCK // offsets.size)
-    rows = _PHASE_BLOCK // max(cols, offsets.size)
-    cross = np.zeros((starts.size, offsets.size))
+    # table nor their product exceeds _PHASE_BLOCK elements; there are no
+    # more starts than offsets (up to _PHASE_BLOCK**2 times), so a chunk's
+    # whole base table fits and is built once
+    cols = min(q.size, _PHASE_BLOCK // width)
+    rows = _PHASE_BLOCK // max(cols, width)
+    cross = np.zeros((starts, width))
     for k in range(0, q.size, cols):
         e2 = 2.0 * e[k : k + cols]
-        if uniform:
-            step = offsets[1]
-            offset = _geometric_rows(np.ones(e2.size, dtype=complex), np.exp(1.0j * step * e2), offsets.size)
-            base = _geometric_rows(w[k : k + cols] * np.exp(1.0j * starts[0] * e2), np.exp(1.0j * (step * offsets.size) * e2), starts.size)
-        else:
-            offset = np.exp(1.0j * np.multiply.outer(offsets, e2))
-        for r in range(0, starts.size, rows):
-            block = base[r : r + rows] if uniform else w[k : k + cols] * np.exp(1.0j * np.multiply.outer(starts[r : r + rows], e2))
-            cross[r : r + rows] += (block @ offset.T).real
-    current = drift + 2.0 * cross.ravel()[: flat.size]
-    if times.ndim == 0:
-        return float(current[0])
-    return current.reshape(times.shape)
+        offset = _geometric_rows(np.ones(e2.size, dtype=complex), dt, e2, width)
+        base = _geometric_rows(w[k : k + cols], dt * width, e2, starts)
+        for r in range(0, starts, rows):
+            cross[r : r + rows] += (base[r : r + rows] @ offset.T).real
+    return drift + 2.0 * cross.ravel()[:n]
 
 
-def _phase_tables(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Block start times and in-block offsets whose sums, row by row, give ``flat``.
-
-    A series of three or more times that lies within 4 eps max|t| of
-    t_0 + k dt splits into B = ceil(sqrt(n)) offsets j dt (at most
-    ``_PHASE_BLOCK``) and ceil(n/B) block starts t_0 + J B dt; the last block
-    may run past the series.  Any other input is its own block start with
-    the single offset 0.
-    """
-    n = flat.size
-    if n > 2:
-        step = (flat[-1] - flat[0]) / (n - 1)
-        uniform = flat[0] + step * np.arange(n)
-        if np.max(np.abs(flat - uniform)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(flat)):
-            width = min(math.isqrt(n - 1) + 1, _PHASE_BLOCK)
-            return flat[0] + (step * width) * np.arange(-(-n // width)), step * np.arange(width)
-    return flat, np.zeros(1)
-
-
-def _geometric_rows(seed: np.ndarray, ratio: np.ndarray, n: int) -> np.ndarray:
-    """The n rows seed * ratio**j (j < n), filled by repeated doubling.
+def _geometric_rows(seed: np.ndarray, step: float, e2: np.ndarray, n: int) -> np.ndarray:
+    """The n rows seed * ratio**j (j < n), ratio = e^{i step e2}, filled by repeated doubling.
 
     Rows [k, 2k) are rows [0, k) times ratio**k, and ratio**k is squared
     between steps, so row j is the seed times one power ratio**(2**b) per set
-    bit b of j: at most log2(n) products instead of j.
+    bit b of j: at most log2(n) products instead of j.  The ratio is formed
+    only for a second row, so a one-row table never meets a phase past the
+    series' last time, which may overflow.
     """
     table = np.empty((n, seed.size), dtype=complex)
     table[0] = seed
+    if n > 1:
+        ratio = np.exp(1.0j * step * e2)
     k = 1
     while k < n:
         np.multiply(table[: min(k, n - k)], ratio, out=table[k : 2 * k])

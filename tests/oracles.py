@@ -106,3 +106,17 @@ def evolve(packet, t):
     q = packet.p_grid
     e = (q * q + M * M) ** 0.5
     return Packet(p_grid=q, b=packet.b * np.exp(-1.0j * e * t), dstar=packet.dstar * np.exp(+1.0j * e * t))
+
+
+def gaussian_packet(d_width, grid, center=0.0, d_scale=1.0):
+    """Normalised Gaussian Packet on any uniform ``grid``, with dstar scaled by ``d_scale``.
+
+    b(q) ~ exp(-(q - center)^2 d^2 / 2) and dstar(q) = d_scale b(q) q / (E_q + m),
+    scaled together so that sum(|b|^2 + |dstar|^2) dq = 1: the program's
+    ``gaussian_amplitudes`` on its default grid is the case d_scale = 1.
+    """
+    q = np.asarray(grid, dtype=float)
+    b = np.exp(-0.5 * (q - center) ** 2 * d_width**2).astype(complex)
+    dstar = d_scale * b * q / ((q * q + M * M) ** 0.5 + M)
+    norm = math.sqrt(float(np.sum(np.abs(b) ** 2 + np.abs(dstar) ** 2)) * (q[1] - q[0]))
+    return Packet(p_grid=q, b=b / norm, dstar=dstar / norm)

@@ -15,7 +15,7 @@ import pytest
 
 from diracpair import algebra, decaymodel, hydrogenic, kinematics, matcher, scatter1d, wavepacket
 from diracpair.core import Alternative, DEFAULT_CONSTANTS, bisect_root, energy_of_momentum
-from oracles import defining_residual, evolve
+from oracles import defining_residual, evolve, gaussian_packet
 
 M = DEFAULT_CONSTANTS.electron_rest_energy
 D1, D2 = Alternative.D1, Alternative.D2
@@ -188,16 +188,15 @@ def test_criterion_07_algebra_identities():
 
 def test_criterion_08_wave_packet():
     # positive-only packet: current constant over t in [0, 100/m]
-    pos = wavepacket.gaussian_amplitudes(3.0 / M, center=0.7 * M, d_scale=0.0)
-    j0 = wavepacket.probability_current(pos, 0.0)
-    currents = wavepacket.probability_current(pos, np.linspace(0.0, 100.0 / M, 21))
-    assert np.max(np.abs(currents - j0)) < 1e-9
+    pos = gaussian_packet(3.0 / M, wavepacket.default_grid(3.0 / M), center=0.7 * M, d_scale=0.0)
+    currents = wavepacket.probability_current(pos, 5.0 / M, 21)
+    assert np.max(np.abs(currents - currents[0])) < 1e-9
     # mixed packet: interference line within 1% of 2 E at the spectral peak
     mixed = wavepacket.gaussian_amplitudes(6.0 / M, center=2.0 * M)
     qstar = float(mixed.p_grid[np.argmax(np.abs(wavepacket.zitterbewegung_weight(mixed)))])
     omega_expected = 2.0 * float(energy_of_momentum(qstar))
     dt, n = 0.05 / M, 4096
-    sig = wavepacket.probability_current(mixed, np.arange(n) * dt)
+    sig = wavepacket.probability_current(mixed, dt, n)
     sig -= sig.mean()
     spectrum = np.abs(np.fft.rfft(sig * np.hanning(n), n=16 * n))
     peak = float((np.fft.rfftfreq(16 * n, dt) * 2.0 * math.pi)[int(np.argmax(spectrum))])
@@ -206,9 +205,12 @@ def test_criterion_08_wave_packet():
     # phases drop out of the branch weights up to float rounding
     j_charge = wavepacket.charge_current(mixed)
     assert wavepacket.charge_current(evolve(mixed, 1000.0 / M)) == pytest.approx(j_charge, rel=1e-12)
-    # amplitude ratio at p = m
-    grid = np.linspace(-8 * M, 8 * M, 4097)
-    pk = wavepacket.gaussian_amplitudes(1.0 / M, grid=grid)
+    # amplitude ratio at p = m, on a grid with m on a node, of the reference
+    # packet that is the program's on its default grid
+    ref = gaussian_packet(1.0 / M, wavepacket.default_grid(1.0 / M))
+    prog = wavepacket.gaussian_amplitudes(1.0 / M)
+    assert np.allclose([ref.b, ref.dstar], [prog.b, prog.dstar], rtol=1e-15, atol=1e-300)
+    pk = gaussian_packet(1.0 / M, np.linspace(-8 * M, 8 * M, 4097))
     i = int(np.argmin(np.abs(pk.p_grid - M)))
     ratio = (pk.dstar[i] / pk.b[i]).real
     assert abs(ratio - 1.0 / (1.0 + math.sqrt(2.0))) < 1e-12

@@ -54,8 +54,7 @@ def test_every_decay_function_applies_one_x0_rule():
 
 
 def test_zero_dimensional_arrays_give_floats():
-    # probability_current and barrier_transmission give a float for a 0-d
-    # array; these two gave np.float64 and a 0-d ndarray
+    # a 0-d array gives a float; these two gave np.float64 and a 0-d ndarray
     for mode in ("baseline", "metastable"):
         assert type(dm.counting_time(np.array(2.0), 1.0, mode)) is float
     assert type(dm.threshold_lineshape(np.array(830.0), 818.8)) is float

@@ -14,7 +14,9 @@ from a BLAS product whose last bits depend on the thread count), and `ulp`
 took `counting-time --format json`, whose full-precision floats are
 compared within one ulp.  Before the square-well levels were refined by one
 batched bisection, a D1 well of 4,527 levels and a D2 well of 359 levels,
-the latter in JSON at full precision, joined `exact`.
+the latter in JSON at full precision, joined `exact`.  Before a series of
+one or two times went through the phase tables too, `zbw --tsteps 2` in CSV
+and JSON joined `zbw`.
 
     PYTHONPATH=src python tests/test_golden_cli.py scatter   # rewrites tests/data/golden_scatter.json
     PYTHONPATH=src python tests/test_golden_cli.py zbw       # rewrites tests/data/golden_zbw.json
@@ -81,6 +83,9 @@ ZBW_CASES = (
     ("zbw", "--dwidth", "0.002", "--tmax", "0.2", "--tsteps", "200"),
     # a single time
     ("zbw", "--dwidth", "0.002", "--tmax", "0.2", "--tsteps", "1", "--p0", "1022"),
+    # two times
+    ("zbw", "--dwidth", "0.002", "--tmax", "0.2", "--tsteps", "2", "--p0", "1022"),
+    ("zbw", "--dwidth", "0.002", "--tmax", "0.2", "--tsteps", "2", "--p0", "1022", "--format", "json"),
 )
 
 EXACT_CASES = (

@@ -4,10 +4,12 @@ Every module-level public function, class and constant of ``src/diracpair``
 (no leading underscore, not an import) must be loaded, as a name or as an
 attribute, somewhere in ``src/diracpair/*.py`` or ``bench/*.py`` outside its
 own definition.  So must every non-dunder field, property and method of each
-class, as an attribute (``.name``).  Tests do not count as readers: a helper
-that only tests call belongs in ``tests/oracles.py``.  Each module's
-``__all__`` names exactly what it defines, since the bench tracer wraps only
-``__all__`` names.
+class, as an attribute (``.name``).  Every defaulted parameter of a public
+function or method must be passed, by position or by keyword, by some call
+of that name in ``src/`` or ``bench/``.  Tests do not count as readers or
+callers: a helper or option that only tests use belongs in
+``tests/oracles.py``.  Each module's ``__all__`` names exactly what it
+defines, since the bench tracer wraps only ``__all__`` names.
 """
 
 import ast
@@ -93,6 +95,60 @@ def test_every_class_member_in_src_has_a_reader():
         if loaded[name] <= _loads(definition, attributes_only=True)[name]
     ]
     assert unread == [], f"class members in src/ that neither src/ nor bench/ reads as an attribute: {unread}"
+
+
+def _functions(tree):
+    """(qualified name, node, bound) of each public module-level function and public method.
+
+    ``bound``: a call through an instance fills the first parameter itself.
+    """
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+                    yield f"{node.name}.{item.name}", item, not static
+
+
+def _defaulted(function, bound):
+    """(name, position in a call) of each defaulted parameter; keyword-only ones have position None."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[first:], start=first - bound):
+        yield arg.arg, index
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call, name, index):
+    """Whether a call could fill the parameter; ``*args`` and ``**kwargs`` could fill any."""
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def _callee(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+
+
+def test_every_defaulted_parameter_in_src_is_passed():
+    calls = [node for tree in TREES.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    unpassed = []
+    for path, tree in SRC.items():
+        for qualname, function, bound in _functions(tree):
+            own = {id(node) for node in ast.walk(function)}
+            callers = [c for c in calls if _callee(c) == function.name and id(c) not in own]
+            unpassed += [
+                f"{path.stem}.{qualname}({name})"
+                for name, index in _defaulted(function, bound)
+                if not any(_passes(call, name, index) for call in callers)
+            ]
+    assert unpassed == [], f"defaulted parameters in src/ that no call in src/ or bench/ passes: {unpassed}"
 
 
 def _declared_all(tree):

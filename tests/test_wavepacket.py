@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from diracpair import wavepacket as wp
 from diracpair.core import DEFAULT_CONSTANTS, energy_of_momentum
-from oracles import ALPHA_1D, BETA_1D, evolve, spinor_u_1d, spinor_v_1d
+from oracles import ALPHA_1D, BETA_1D, evolve, gaussian_packet, spinor_u_1d, spinor_v_1d
 
 M = DEFAULT_CONSTANTS.electron_rest_energy
 
@@ -16,8 +16,19 @@ M = DEFAULT_CONSTANTS.electron_rest_energy
 GRID_WITH_M = np.linspace(-8 * M, 8 * M, 4097)
 
 
+@pytest.mark.parametrize("d_width, center", [(1.0 / M, 0.0), (3.0 / M, 0.7 * M), (6.0 / M, 2.0 * M), (3e-4, 240.0), (0.0075, 750.0)])
+def test_reference_packet_is_the_programs_packet(d_width, center):
+    # so the tests that build gaussian_packet on other grids, or with dstar
+    # scaled, hold the program's amplitudes
+    pk = wp.gaussian_amplitudes(d_width, center=center)
+    ref = gaussian_packet(d_width, wp.default_grid(d_width), center=center)
+    assert np.array_equal(pk.p_grid, ref.p_grid)
+    np.testing.assert_allclose(pk.b, ref.b, rtol=1e-15, atol=1e-300)
+    np.testing.assert_allclose(pk.dstar, ref.dstar, rtol=1e-15, atol=1e-300)
+
+
 def test_amplitude_ratio_at_p_equals_m():
-    pk = wp.gaussian_amplitudes(1.0 / M, grid=GRID_WITH_M)
+    pk = gaussian_packet(1.0 / M, GRID_WITH_M)
     i = int(np.argmin(np.abs(pk.p_grid - M)))
     assert pk.p_grid[i] == pytest.approx(M, rel=1e-14)
     ratio = (pk.dstar[i] / pk.b[i]).real
@@ -25,7 +36,7 @@ def test_amplitude_ratio_at_p_equals_m():
 
 
 def test_amplitude_vanishes_at_zero_momentum():
-    pk = wp.gaussian_amplitudes(1.0 / M, grid=GRID_WITH_M)
+    pk = gaussian_packet(1.0 / M, GRID_WITH_M)
     i = int(np.argmin(np.abs(pk.p_grid)))
     assert pk.p_grid[i] == 0.0
     assert pk.dstar[i] == 0.0
@@ -37,8 +48,6 @@ def test_packet_is_normalized():
 
 
 def test_grid_narrow_rejection():
-    with pytest.raises(ValueError):
-        wp.gaussian_amplitudes(1.0 / M, grid=np.linspace(-4 * M, 4 * M, 512))
     # wide enough span but the packet hangs off the edge
     with pytest.raises(ValueError):
         wp.gaussian_amplitudes(1.0 / M, center=7.5 * M)
@@ -49,7 +58,7 @@ def test_negative_energy_fraction_frozen_value():
     pk = wp.gaussian_amplitudes(1.0 / M)
     frac = wp.negative_energy_fraction(pk)
     assert frac == pytest.approx(0.07545614718454714, abs=1e-10)
-    fine = wp.gaussian_amplitudes(1.0 / M, grid=np.linspace(-8 * M, 8 * M, 40960))
+    fine = gaussian_packet(1.0 / M, np.linspace(-8 * M, 8 * M, 40960))
     assert frac == pytest.approx(wp.negative_energy_fraction(fine), rel=1e-9)
 
 
@@ -60,16 +69,16 @@ def test_negative_energy_fraction_shrinks_for_wide_packets():
 
 
 def test_pure_positive_packet_has_zero_fraction():
-    base = wp.gaussian_amplitudes(1.0 / M, d_scale=0.0)
+    base = gaussian_packet(1.0 / M, wp.default_grid(1.0 / M), d_scale=0.0)
     assert wp.negative_energy_fraction(base) == 0.0
 
 
 def test_positive_only_current_is_constant():
-    pk = wp.gaussian_amplitudes(3.0 / M, center=0.7 * M, d_scale=0.0)
-    j0 = wp.probability_current(pk, 0.0)
+    pk = gaussian_packet(3.0 / M, wp.default_grid(3.0 / M), center=0.7 * M, d_scale=0.0)
+    currents = wp.probability_current(pk, 10.0 / M, 11)
+    j0 = currents[0]
     drift = float(np.sum(np.abs(pk.b) ** 2 * pk.p_grid / energy_of_momentum(pk.p_grid)) * pk.dp)
     assert j0 == pytest.approx(drift, rel=1e-12)
-    currents = wp.probability_current(pk, np.linspace(0.0, 100.0 / M, 11))
     assert np.max(np.abs(currents - j0)) < 1e-9
 
 
@@ -81,7 +90,7 @@ def test_mixed_packet_oscillates_at_twice_the_energy():
     omega_expected = 2.0 * float(energy_of_momentum(qstar))
     dt = 0.05 / M
     n = 4096
-    sig = wp.probability_current(pk, np.arange(n) * dt)
+    sig = wp.probability_current(pk, dt, n)
     sig -= sig.mean()
     spectrum = np.abs(np.fft.rfft(sig * np.hanning(n), n=16 * n))
     freqs = np.fft.rfftfreq(16 * n, dt) * 2.0 * math.pi
@@ -93,17 +102,16 @@ def test_time_average_returns_to_drift():
     pk = wp.gaussian_amplitudes(6.0 / M, center=2.0 * M)
     e = energy_of_momentum(pk.p_grid)
     drift = float(np.sum((np.abs(pk.b) ** 2 - np.abs(pk.dstar) ** 2) * pk.p_grid / e) * pk.dp)
-    avg = float(np.mean(wp.probability_current(pk, np.linspace(0.0, 400.0 / M, 2001))))
+    avg = float(np.mean(wp.probability_current(pk, 0.2 / M, 2001)))
     assert avg == pytest.approx(drift, rel=1e-3)
 
 
 def test_interference_amplitude_linear_in_dstar():
     # bilinear in (b, dstar): amplitude / (|b| |d|) is scale-invariant
-    times = np.linspace(0.0, 20.0 / M, 400)
     ratios = []
     for scale in (0.5, 1.0, 2.0):
-        pk = wp.gaussian_amplitudes(1.0 / M, center=0.8 * M, d_scale=scale)
-        vals = wp.probability_current(pk, times)
+        pk = gaussian_packet(1.0 / M, wp.default_grid(1.0 / M), center=0.8 * M, d_scale=scale)
+        vals = wp.probability_current(pk, 20.0 / M / 399, 400)
         amp = float(np.ptp(vals)) / 2.0
         nb = math.sqrt(float(np.sum(np.abs(pk.b) ** 2) * pk.dp))
         nd = math.sqrt(float(np.sum(np.abs(pk.dstar) ** 2) * pk.dp))
@@ -129,21 +137,17 @@ def test_charge_current_boosted_packet():
     pk = wp.gaussian_amplitudes(8.0 / M, center=2.0 * M)
     got = wp.charge_current(pk)
     assert got == pytest.approx(-2.0 * M / energy_of_momentum(2.0 * M), rel=1e-3)
-    fine = wp.gaussian_amplitudes(
-        8.0 / M, center=2.0 * M, grid=np.linspace(-8 * M, 8 * M, 40960)
-    )
+    fine = gaussian_packet(8.0 / M, np.linspace(-8 * M, 8 * M, 40960), center=2.0 * M)
     assert got == pytest.approx(wp.charge_current(fine), rel=1e-6)
 
 
 def test_grid_refinement_converges():
     coarse = wp.gaussian_amplitudes(1.0 / M, center=0.8 * M)
-    fine = wp.gaussian_amplitudes(
-        1.0 / M, center=0.8 * M, grid=np.linspace(-8 * M, 8 * M, 8192)
-    )
-    for t in (0.0, 1.0 / M):
-        a = wp.probability_current(coarse, t)
-        b = wp.probability_current(fine, t)
-        assert a == pytest.approx(b, rel=1e-6, abs=1e-9)
+    fine = gaussian_packet(1.0 / M, np.linspace(-8 * M, 8 * M, 8192), center=0.8 * M)
+    # the currents at t = 0 and 1/m
+    a = wp.probability_current(coarse, 1.0 / M, 2)
+    b = wp.probability_current(fine, 1.0 / M, 2)
+    assert a == pytest.approx(b, rel=1e-6, abs=1e-9)
     assert wp.charge_current(coarse) == pytest.approx(wp.charge_current(fine), rel=1e-6)
     assert wp.negative_energy_fraction(coarse) == pytest.approx(
         wp.negative_energy_fraction(fine), rel=1e-6
@@ -194,9 +198,9 @@ def test_unnormalized_packet_rejected():
     pk = wp.gaussian_amplitudes(1.0 / M)
     broken = wp.Packet(p_grid=pk.p_grid, b=2.0 * pk.b, dstar=pk.dstar)
     with pytest.raises(ValueError):
-        wp.probability_current(broken, 0.0)
+        wp.probability_current(broken, 0.0, 1)
     with pytest.raises(ValueError, match="not normalized"):
-        wp.probability_current(broken, np.linspace(0.0, 1.0 / M, 5))
+        wp.probability_current(broken, 0.25 / M, 5)
     with pytest.raises(ValueError):
         wp.charge_current(broken)
 
@@ -231,53 +235,45 @@ def _per_time_current(packet, t):
     center=st.floats(-2.0 * M, 2.0 * M),
     d_scale=st.floats(0.0, 3.0),
     t0=st.floats(-20.0 / M, 20.0 / M),
-    times=hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=3, max_side=5), elements=st.floats(-50.0 / M, 50.0 / M)),
+    times=hnp.arrays(float, st.integers(0, 10), elements=st.floats(-50.0 / M, 50.0 / M)),
 )
 def test_array_times_match_per_time_sum(d_width, center, d_scale, t0, times):
-    # evolving to t0 makes the interference weight complex (a Gaussian's is real)
-    pk = evolve(wp.gaussian_amplitudes(d_width, center=center, d_scale=d_scale), t0)
-    got = wp.probability_current(pk, times)
-    want = np.array([_per_time_current(pk, t) for t in times.ravel()]).reshape(times.shape)
-    if times.ndim == 0:
-        assert type(got) is float
-    else:
-        assert isinstance(got, np.ndarray) and got.shape == times.shape
-    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
-    for t in times.ravel()[:3]:
-        scalar = wp.probability_current(pk, float(t))
-        assert type(scalar) is float
-        assert abs(scalar - _per_time_current(pk, t)) <= 1e-12
+    # irregular times, each the second of a two-time series; evolving to t0
+    # makes the interference weight complex (a Gaussian's is real)
+    pk = evolve(gaussian_packet(d_width, wp.default_grid(d_width), center=center, d_scale=d_scale), t0)
+    for t in times:
+        got = wp.probability_current(pk, t, 2)
+        want = [_per_time_current(pk, 0.0), _per_time_current(pk, t)]
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_long_series_crosses_phase_blocks():
     # more offsets per momentum than one block holds: two momentum chunks, one row block
     pk = evolve(wp.gaussian_amplitudes(6.0 / M, center=2.0 * M), 3.0 / M)
-    times = np.linspace(0.0, 40.0 / M, 3 * wp._PHASE_BLOCK // pk.p_grid.size + 7)
-    got = wp.probability_current(pk, times)
-    want = np.array([_per_time_current(pk, t) for t in times])
+    n = 3 * wp._PHASE_BLOCK // pk.p_grid.size + 7
+    dt = 40.0 / M / (n - 1)
+    got = wp.probability_current(pk, dt, n)
+    want = np.array([_per_time_current(pk, k * dt) for k in range(n)])
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("n, blocks", [(10_000, 2), (100_000, 13)])
 def test_long_series_crosses_row_blocks(n, blocks):
-    # the kernel's row blocks: B offsets, at most _PHASE_BLOCK // B momenta per
-    # chunk, and _PHASE_BLOCK // max(cols, B) block starts per product
+    # the kernel's row blocks: B = ceil(sqrt(n)) offsets, at most
+    # _PHASE_BLOCK // B momenta per chunk, and _PHASE_BLOCK // max(cols, B)
+    # block starts per product; the series starts at -5/m, the packet evolved there
     pk = evolve(wp.gaussian_amplitudes(6.0 / M, center=2.0 * M), 3.0 / M)
-    times = np.linspace(-5.0 / M, 400.0 / M, n)
-    starts, offsets = wp._phase_tables(times)
-    cols = min(pk.p_grid.size, wp._PHASE_BLOCK // offsets.size)
-    rows = wp._PHASE_BLOCK // max(cols, offsets.size)
-    assert -(-starts.size // rows) == blocks
-    edges = np.arange(rows, starts.size, rows) * offsets.size
+    t0, dt = -5.0 / M, 405.0 / M / (n - 1)
+    width = math.isqrt(n - 1) + 1
+    starts = -(-n // width)
+    cols = min(pk.p_grid.size, wp._PHASE_BLOCK // width)
+    rows = wp._PHASE_BLOCK // max(cols, width)
+    assert -(-starts // rows) == blocks
+    edges = np.arange(rows, starts, rows) * width
     picks = np.unique(np.concatenate([np.linspace(0, n - 1, 400).astype(int), edges - 1, edges]))
-    got = wp.probability_current(pk, times)
-    want = np.array([_per_time_current(pk, times[i]) for i in picks])
+    got = wp.probability_current(evolve(pk, t0), dt, n)
+    want = np.array([_per_time_current(pk, t0 + i * dt) for i in picks])
     assert np.max(np.abs(got[picks] - want)) <= 1e-12
-
-
-def _factorised_width(times):
-    """Offsets per block that the kernel uses for ``times`` (1: one block per time)."""
-    return wp._phase_tables(np.asarray(times, dtype=float).ravel())[1].size
 
 
 @settings(max_examples=30, deadline=None)
@@ -294,30 +290,20 @@ def _factorised_width(times):
     ),
 )
 def test_uniform_series_match_per_time_sum(d_width, center, t_evolve, t0, span, n):
-    # a negative span gives a descending grid; evolving makes w complex
+    # a negative span gives a descending series; evolving makes w complex, and
+    # evolving on to t0 starts the series there
     pk = evolve(wp.gaussian_amplitudes(d_width, center=center), t_evolve)
-    times = np.linspace(t0, t0 + span, n)
-    if n > 2:
-        assert _factorised_width(times) == math.ceil(math.sqrt(n))
-    got = wp.probability_current(pk, times)
-    want = np.array([_per_time_current(pk, t) for t in times])
-    assert got.shape == times.shape
+    dt = span / (n - 1) if n > 1 else 0.0
+    got = wp.probability_current(evolve(pk, t0), dt, n)
+    want = np.array([_per_time_current(pk, t0 + k * dt) for k in range(n)])
+    assert got.shape == (n,)
     assert np.max(np.abs(got - want)) <= 1e-12
-
-
-def test_only_uniform_series_are_factorised():
-    assert _factorised_width(np.arange(10) * 0.1) == 4
-    assert _factorised_width(np.linspace(1.0, -1.0, 100)) == 10
-    assert _factorised_width(0.5) == 1
-    assert _factorised_width([0.0, 1.0]) == 1
-    assert _factorised_width([0.0, 1.0, 3.0]) == 1
-    assert _factorised_width(np.linspace(0.0, 1.0, 50) ** 2) == 1
 
 
 def test_overflowing_grid_rejected():
     # q^2 d^2 is inf * 0 = nan at the grid's ends, so the loss estimate is nan
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflowing"):
-        wp.gaussian_amplitudes(1e-200, wp.default_grid(1e-200))
+        wp.gaussian_amplitudes(1e-200)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -333,13 +319,24 @@ def test_grid_too_wide_for_floats_rejected_without_warnings(d_width):
 def test_nan_packet_rejected():
     pk = wp.gaussian_amplitudes(1.0 / M)
     broken = wp.Packet(p_grid=pk.p_grid, b=np.where(pk.p_grid > 0.0, np.nan, pk.b), dstar=pk.dstar)
-    for fn in (wp.negative_energy_fraction, wp.charge_current, lambda p: wp.probability_current(p, 0.0)):
+    for fn in (wp.negative_energy_fraction, wp.charge_current, lambda p: wp.probability_current(p, 0.0, 1)):
         with pytest.raises(ValueError, match="not normalized"):
             fn(broken)
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, [0.0, math.nan], [[1.0], [math.inf]], 1e306])
-def test_non_finite_times_rejected(t):
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 1e306])
+def test_non_finite_times_rejected(dt):
     pk = wp.gaussian_amplitudes(1.0 / M)
+    for n in (2, 3, 100):
+        with pytest.raises(ValueError, match="finite"):
+            wp.probability_current(pk, dt, n)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_series_whose_last_phase_overflows_rejected():
+    # on this grid (E_q up to 4120 keV) 2 E_q dt is finite and twice it is
+    # not: two times run without a warning, three are rejected
+    pk = wp.gaussian_amplitudes(1.0 / M)
+    assert np.isfinite(wp.probability_current(pk, 1.5e304, 2)).all()
     with pytest.raises(ValueError, match="finite"):
-        wp.probability_current(pk, t)
+        wp.probability_current(pk, 1.5e304, 3)
