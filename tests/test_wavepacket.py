@@ -324,10 +324,13 @@ def test_nan_packet_rejected():
             fn(broken)
 
 
-@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 1e306])
-def test_non_finite_times_rejected(dt):
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, (math.nan, 2), (1e308, 3), 1e306])
+def test_non_finite_times_rejected(t):
+    # a scalar is a step tried at several lengths; a pair (dt, n) is one series
+    # whose first time, 0, is finite and whose last, (n - 1) dt, is not
+    dt, lengths = (t[0], (t[1],)) if isinstance(t, tuple) else (t, (2, 3, 100))
     pk = wp.gaussian_amplitudes(1.0 / M)
-    for n in (2, 3, 100):
+    for n in lengths:
         with pytest.raises(ValueError, match="finite"):
             wp.probability_current(pk, dt, n)
 
