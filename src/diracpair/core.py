@@ -45,15 +45,15 @@ def require_finite(name: str, value, positive: bool = False) -> None:
     here so that importing the package does not load it.
     """
     if isinstance(value, (int, float)):
-        finite, pos = math.isfinite(value), value > 0.0
+        finite, pos = math.isfinite(value), not positive or value > 0.0
     else:
         import numpy as np
 
         x = np.asarray(value, dtype=float)
-        finite, pos = bool(np.all(np.isfinite(x))), bool(np.all(x > 0.0))
+        finite, pos = bool(np.isfinite(x).all()), not positive or bool((x > 0.0).all())
     if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
-    if positive and not pos:
+    if not pos:
         raise ValueError(f"{name} must be positive, got {value!r}")
 
 

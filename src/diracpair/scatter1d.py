@@ -26,6 +26,7 @@ joined by Redheffer star products, batched over regions and energies.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,7 @@ class PotentialProfile:
             raise ValueError("need exactly one more region value than edges")
         if not self.edges:
             raise ValueError("a profile needs at least one edge")
-        if any(not b > a for a, b in zip(self.edges, self.edges[1:])):
+        if not all(map(operator.lt, self.edges, self.edges[1:])):
             raise ValueError("region edges must be strictly increasing")
 
     @classmethod
@@ -120,24 +121,28 @@ def _mode_table(alt: Alternative, values, e: np.ndarray, m: float):
     return forbidden, eps, lam
 
 
-def _star_reduce(s):
+def _star_reduce(s11, s12, s21, s22):
     """Compose a chain of 2x2 scattering matrices by pairwise Redheffer star products.
 
-    ``s`` stacks (S11, S12, S21, S22) along its first axis, the chain along the
-    second and energies along the third.  Each level joins neighbours (0, 1),
-    (2, 3), ... in one set of array operations, so a chain of n matrices takes
-    log2(n) levels.  Returns the (S11, S21) of the whole chain.
+    Each element is a (chain, energies) array.  The chain is padded once, at
+    its end, to a power of two with identity matrices (S11 = S22 = 0,
+    S12 = S21 = 1): joined to a matrix they give back that matrix unchanged,
+    so the tree is the unpadded one with the odd last matrix of a level
+    carried up.  Each level joins neighbours (0, 1), (2, 3), ... in one set
+    of array operations, so a chain of n matrices takes ceil(log2(n)) levels.
+    Returns the (S11, S21) of the whole chain.
     """
-    while s.shape[1] > 1:
-        even = s.shape[1] // 2 * 2
-        a11, a12, a21, a22 = s[:, 0:even:2]
-        b11, b12, b21, b22 = s[:, 1:even:2]
+    pad = (1 << (s11.shape[0] - 1).bit_length()) - s11.shape[0]
+    if pad:
+        zero = np.zeros((pad, s11.shape[1]), dtype=complex)
+        s11, s22 = np.concatenate((s11, zero)), np.concatenate((s22, zero))
+        s12, s21 = np.concatenate((s12, zero + 1.0)), np.concatenate((s21, zero + 1.0))
+    while s11.shape[0] > 1:
+        a11, a12, a21, a22 = s11[0::2], s12[0::2], s21[0::2], s22[0::2]
+        b11, b12, b21, b22 = s11[1::2], s12[1::2], s21[1::2], s22[1::2]
         d = 1.0 / (1.0 - a22 * b11)
-        joined = np.stack(
-            (a11 + a12 * b11 * a21 * d, a12 * b12 * d, b21 * a21 * d, b22 + b21 * a22 * b12 * d)
-        )
-        s = np.concatenate((joined, s[:, even:]), axis=1)
-    return s[0, 0], s[2, 0]
+        s11, s12, s21, s22 = a11 + a12 * b11 * a21 * d, a12 * b12 * d, b21 * a21 * d, b22 + b21 * a22 * b12 * d
+    return s11[0], s21[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow leaves a T or R that is not finite, raised below
@@ -153,17 +158,16 @@ def _transmission(alt: Alternative, values, edges, e, constants: Constants) -> S
     tunnelling = (~propagating[1:-1]).any(axis=0)
     # Klein: a region propagates on the branch opposite to E's, which for E > 0 means eps < 0
     klein = (propagating & (eps * energies < 0.0)).any(axis=0)
-    classification = _CLASSIFICATIONS[np.select([blocked, tunnelling, klein], [0, 1, 2], 3)]
+    classification = _CLASSIFICATIONS[np.where(blocked, 0, np.where(tunnelling, 1, np.where(klein, 2, 3)))]
 
     # Interface j joins region j to region j+1, with amplitudes referenced at
     # the interface; the propagation across region j+1 is folded into it.
     total = lam[:-1] + lam[1:]
     s11 = (lam[:-1] - lam[1:]) / total
     phase = np.ones_like(total)
-    phase[:-1] = np.exp(1j * lam[1:-1] * (eps[1:-1] + m) * np.diff(np.asarray(edges, dtype=float))[:, None])
-    rho, tau = _star_reduce(
-        np.stack((s11, 2.0 * lam[1:] / total * phase, 2.0 * lam[:-1] / total * phase, -s11 * phase**2))
-    )
+    z = np.asarray(edges, dtype=float)[:, None]
+    phase[:-1] = np.exp(1j * lam[1:-1] * (eps[1:-1] + m) * (z[1:] - z[:-1]))
+    rho, tau = _star_reduce(s11, 2.0 * lam[1:] / total * phase, 2.0 * lam[:-1] / total * phase, -s11 * phase**2)
 
     # T >= 0 by construction; the bound T <= 1 can be missed by an ulp near full transparency
     t = np.where(blocked, 0.0, np.minimum(np.abs(tau) ** 2 * lam[-1].real / lam[0].real, 1.0))

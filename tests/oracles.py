@@ -43,6 +43,29 @@ def _reference_modes(alt, v, e):
     return (-kappa, 1j * (eps - M) / -kappa), (kappa, 1j * (eps - M) / kappa)
 
 
+# --- scattering-matrix chains -----------------------------------------------------
+
+
+def star_reduce(s):
+    """(S11, S21) of a chain of 2x2 scattering matrices, joined as the stack-and-concatenate tree.
+
+    ``s`` stacks (S11, S12, S21, S22) along its first axis, the chain along
+    the second and energies along the third.  Each level joins neighbours
+    (0, 1), (2, 3), ... by the Redheffer star product and carries an odd last
+    matrix up unchanged, restacking the four elements as it goes.
+    """
+    while s.shape[1] > 1:
+        even = s.shape[1] // 2 * 2
+        a11, a12, a21, a22 = s[:, 0:even:2]
+        b11, b12, b21, b22 = s[:, 1:even:2]
+        d = 1.0 / (1.0 - a22 * b11)
+        joined = np.stack(
+            (a11 + a12 * b11 * a21 * d, a12 * b12 * d, b21 * a21 * d, b22 + b21 * a22 * b12 * d)
+        )
+        s = np.concatenate((joined, s[:, even:]), axis=1)
+    return s[0, 0], s[2, 0]
+
+
 # --- pair kinematics --------------------------------------------------------------
 
 

@@ -18,14 +18,16 @@ the latter in JSON at full precision, joined `exact`.  Before a series of
 one or two times went through the phase tables too, `zbw --tsteps 2` in CSV
 and JSON joined `zbw`.
 
-    PYTHONPATH=src python tests/test_golden_cli.py scatter   # rewrites tests/data/golden_scatter.json
-    PYTHONPATH=src python tests/test_golden_cli.py zbw       # rewrites tests/data/golden_zbw.json
-    PYTHONPATH=src python tests/test_golden_cli.py exact     # rewrites tests/data/golden_exact.json
-    PYTHONPATH=src python tests/test_golden_cli.py algebra   # rewrites tests/data/golden_algebra.json
-    PYTHONPATH=src python tests/test_golden_cli.py ulp       # rewrites tests/data/golden_ulp.json
+    PYTHONPATH=src python tests/test_golden_cli.py scatter   # adds to tests/data/golden_scatter.json
+    PYTHONPATH=src python tests/test_golden_cli.py zbw       # adds to tests/data/golden_zbw.json
+    PYTHONPATH=src python tests/test_golden_cli.py exact     # adds to tests/data/golden_exact.json
+    PYTHONPATH=src python tests/test_golden_cli.py algebra   # adds to tests/data/golden_algebra.json
+    PYTHONPATH=src python tests/test_golden_cli.py ulp       # adds to tests/data/golden_ulp.json
 
-Regenerate only to add cases, never to absorb a changed number: a capture
-is the reference its kernel is compared against.
+A capture is append-only: it runs only the cases whose argv its file lacks
+and appends them, leaving every case already captured byte for byte as it
+is, so a changed number is never absorbed: a capture is the reference its
+kernel is compared against.
 """
 
 from __future__ import annotations
@@ -246,12 +248,19 @@ def test_zbw_output_is_byte_identical_between_runs():
 
 
 def capture(command: str) -> None:
-    cases = []
-    for argv in CASES[command]:
-        code, text = _run(argv)
-        cases.append({"argv": list(argv), "exit": code, "stdout": text})
+    """Append a capture of every case of ``command`` whose argv its golden file lacks."""
+    path = _golden_path(command)
+    text = path.read_text(encoding="utf-8") if path.exists() else '{"cases": []}'
+    cases = json.loads(text)["cases"]
+    captured = {tuple(case["argv"]) for case in cases}
+    added = [argv for argv in CASES[command] if argv not in captured]
+    if not added:
+        return
+    for argv in added:
+        code, out = _run(argv)
+        cases.append({"argv": list(argv), "exit": code, "stdout": out})
     DATA.mkdir(exist_ok=True)
-    _golden_path(command).write_text(json.dumps({"cases": cases}, indent=1) + "\n", encoding="utf-8")
+    path.write_text(json.dumps({"cases": cases}, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ import pytest
 
 from diracpair import scatter1d as sc
 from diracpair.core import Alternative, DEFAULT_CONSTANTS, ROOT_TOLERANCE, bisect_root
-from oracles import _reference_modes
+from oracles import _eps, _reference_modes
 
 M = DEFAULT_CONSTANTS.electron_rest_energy
 D1, D2 = Alternative.D1, Alternative.D2
@@ -251,6 +251,30 @@ def test_d1_klein_barrier_flux():
     assert res.classification == sc.KLEIN_ZONE
     assert res.R + res.T == pytest.approx(1.0, abs=1e-9)
     assert res.T > 0.0
+
+
+def test_label_precedence_in_one_energy_array_call():
+    # D1 regions at 0, 2m, 6m and 3.5m: at 2.8m the far side and the 2m region
+    # are evanescent and the 6m region propagates on the lower branch; at 1.5m
+    # the 2m region is evanescent and the 6m and far regions are Klein; at 4.8m
+    # only the 6m region is Klein; at 10m every region propagates above its V
+    values = (0.0, 2.0 * M, 6.0 * M, 3.5 * M)
+    profile = sc.PotentialProfile(edges=(0.0, 1.0 / M, 2.0 / M), values=values)
+    energies = np.array([2.8, 1.5, 4.8, 10.0]) * M
+    res = sc.barrier_transmission(D1, profile, energies)
+    order = (sc.GAP_BLOCKED, sc.EVANESCENT_TUNNELING, sc.KLEIN_ZONE, sc.CLASSICAL)
+    for e, label, wanted in zip(energies, res.classification, order):
+        eps = [_eps(D1, v, e) for v in values]
+        qualifies = {
+            sc.GAP_BLOCKED: abs(eps[-1]) <= M,
+            sc.EVANESCENT_TUNNELING: any(abs(x) < M for x in eps[1:-1]),
+            sc.KLEIN_ZONE: any(abs(x) > M and x * e < 0.0 for x in eps),
+            sc.CLASSICAL: True,
+        }
+        # each row qualifies for its own label and every one after it
+        assert [qualifies[name] for name in order] == [name in order[order.index(wanted):] for name in order]
+        assert label is wanted
+    assert (res.T[0], res.R[0]) == (0.0, 1.0)
 
 
 def test_double_barrier_resonance():

@@ -1,4 +1,4 @@
-"""Property tests of the scattering core: flux conservation, batching, a dense reference and D2's mirror symmetry."""
+"""Property tests of the scattering core: flux conservation, batching, the star-product tree, a dense reference and D2's mirror symmetry."""
 
 import math
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from diracpair import scatter1d as sc
 from diracpair.core import Alternative, DEFAULT_CONSTANTS, ROOT_TOLERANCE
-from oracles import _eps, _reference_modes
+from oracles import _eps, _reference_modes, star_reduce
 
 M = DEFAULT_CONSTANTS.electron_rest_energy
 D1, D2 = Alternative.D1, Alternative.D2
@@ -20,17 +20,21 @@ energy_factors = st.floats(1.0001, 10.0)
 PROPERTY = settings(max_examples=60, deadline=None)
 
 
-@st.composite
-def profiles(draw, max_regions=400, max_length=0.05):
-    """Seeded piecewise-constant profiles of 3..max_regions regions, free on both sides."""
-    n = draw(st.integers(3, max_regions))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    vmax = draw(st.floats(0.05, 4.0)) * M
-    length = draw(st.floats(1e-4, max_length))  # 1/keV
+def seeded_profile(n, seed, vmax, length):
+    """A profile of n regions, free on both sides, with interior V within +-vmax over ``length`` 1/keV."""
+    rng = np.random.default_rng(seed)
     widths = rng.uniform(0.5, 1.5, n - 2)
     edges = np.concatenate(([0.0], np.cumsum(widths * (length / widths.sum()))))
     values = np.concatenate(([0.0], rng.uniform(-vmax, vmax, n - 2), [0.0]))
     return sc.PotentialProfile(edges=tuple(edges.tolist()), values=tuple(values.tolist()))
+
+
+@st.composite
+def profiles(draw, max_regions=400, max_length=0.05):
+    """Seeded piecewise-constant profiles of 3..max_regions regions, free on both sides."""
+    n = draw(st.integers(3, max_regions))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return seeded_profile(n, seed, draw(st.floats(0.05, 4.0)) * M, draw(st.floats(1e-4, max_length)))
 
 
 def _assert_physical(res):
@@ -60,6 +64,8 @@ def test_profile_conserves_flux(alt, profile, f):
 
 @PROPERTY
 @given(alts, profiles(max_regions=40), st.lists(energy_factors, min_size=1, max_size=20))
+@example(D1, seeded_profile(200, 1, 2.0 * M, 0.02), [1.2, 2.5, 6.0])
+@example(D2, seeded_profile(400, 2, 2.0 * M, 0.04), [1.5, 4.0, 9.0])
 def test_array_call_equals_scalar_calls(alt, profile, factors):
     energies = np.array(factors) * M
     batch = sc.barrier_transmission(alt, profile, energies)
@@ -151,6 +157,49 @@ def test_array_call_rejects_a_non_propagating_incident_side():
         sc.barrier_transmission(D1, sc.PotentialProfile.barrier(M, 1.0 / M), np.array([2.0 * M, 0.5 * M]))
     with pytest.raises(ValueError):
         sc.step_transmission(D2, M, np.array([0.5 * M, 2.0 * M]))
+
+
+# --- the star-product tree ------------------------------------------------------
+
+
+def interface_chain(n, n_energies, seed):
+    """(S11, S12, S21, S22) of n interfaces at n_energies energies, each built as the program builds it.
+
+    Region spinor ratios lie on the positive real axis (propagating) or the
+    positive imaginary axis (evanescent), and a fifth of the regions repeat
+    their left neighbour's, which makes S11 exactly 0.  Phase magnitudes run
+    from 1e-300 to 1; a tenth are exactly 0 (a fully decayed region), a third
+    exactly 1 (a propagating one), and the last interface carries a phase of 1.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (n + 1, n_energies)
+    lam = rng.uniform(0.01, 10.0, shape) * np.where(rng.random(shape) < 0.5, 1.0, 1j)
+    for j in np.nonzero(rng.random(n) < 0.2)[0]:
+        lam[j + 1] = lam[j]
+    magnitude = 10.0 ** rng.uniform(-300.0, 0.0, (n, n_energies))
+    magnitude[rng.random(magnitude.shape) < 0.3] = 1.0
+    magnitude[rng.random(magnitude.shape) < 0.1] = 0.0
+    phase = magnitude * np.exp(2j * np.pi * rng.random(magnitude.shape))
+    phase[-1] = 1.0
+    total = lam[:-1] + lam[1:]
+    s11 = (lam[:-1] - lam[1:]) / total
+    return s11, 2.0 * lam[1:] / total * phase, 2.0 * lam[:-1] / total * phase, -s11 * phase**2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 70), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@example(1, 3, 1)
+@example(2, 1, 2)
+@example(3, 5, 3)
+@example(63, 2, 4)
+@example(64, 1, 5)
+@example(65, 4, 6)
+def test_star_tree_equals_the_unpadded_tree_bit_for_bit(n, n_energies, seed):
+    chain = interface_chain(n, n_energies, seed)
+    with np.errstate(all="ignore"):
+        got = sc._star_reduce(*chain)
+        want = star_reduce(np.stack(chain))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 # --- dense matching reference ---------------------------------------------------
