@@ -36,24 +36,18 @@ MAX_COUNT = 10**6
 
 
 def require_finite(name: str, value, positive: bool = False) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` (a number or a sequence) is finite.
+    """Raise ValueError naming ``name`` unless ``value`` (a number, or a tuple or list of them) is finite.
 
     With ``positive`` every number must also be > 0.  The one input check of
     the package: dataclasses, packet construction and the CLI all call it, so
-    a nan or inf never reaches the numerics.  A Python ``int`` or ``float``
-    is checked with ``math``; anything else goes through numpy, imported
-    here so that importing the package does not load it.
+    a nan or inf never reaches the numerics; only
+    ``scatter1d.PotentialProfile`` passes a sequence.  Every number goes
+    through ``math.isfinite``, so the check loads no numpy.
     """
-    if isinstance(value, (int, float)):
-        finite, pos = math.isfinite(value), not positive or value > 0.0
-    else:
-        import numpy as np
-
-        x = np.asarray(value, dtype=float)
-        finite, pos = bool(np.isfinite(x).all()), not positive or bool((x > 0.0).all())
-    if not finite:
+    numbers = value if isinstance(value, (tuple, list)) else (value,)
+    if not all(map(math.isfinite, numbers)):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    if not pos:
+    if positive and not all(x > 0.0 for x in numbers):
         raise ValueError(f"{name} must be positive, got {value!r}")
 
 

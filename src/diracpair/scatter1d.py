@@ -64,6 +64,7 @@ class PotentialProfile:
 
     ``edges[i]`` is the boundary between region i and region i+1, strictly
     increasing; ``values[i]`` is the constant potential of region i in keV.
+    The one check of a profile's numbers: ``step_transmission`` builds one too.
     """
 
     edges: tuple[float, ...]
@@ -146,11 +147,11 @@ def _star_reduce(s11, s12, s21, s22):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow leaves a T or R that is not finite, raised below
-def _transmission(alt: Alternative, values, edges, e, constants: Constants) -> ScatterResult:
-    """T, R and regime across the regions ``values`` at one energy or an array of them."""
+def _transmission(alt: Alternative, profile: PotentialProfile, e, constants: Constants) -> ScatterResult:
+    """T, R and regime across ``profile`` at one energy or an array of them."""
     m = constants.m
     energies = np.atleast_1d(np.asarray(e, dtype=float))
-    forbidden, eps, lam = _mode_table(alt, values, energies, m)
+    forbidden, eps, lam = _mode_table(alt, profile.values, energies, m)
     propagating = ~forbidden & (np.abs(eps) > m)
     if not propagating[0].all():
         raise ValueError("no incident propagating mode in the leftmost region")
@@ -165,7 +166,7 @@ def _transmission(alt: Alternative, values, edges, e, constants: Constants) -> S
     total = lam[:-1] + lam[1:]
     s11 = (lam[:-1] - lam[1:]) / total
     phase = np.ones_like(total)
-    z = np.asarray(edges, dtype=float)[:, None]
+    z = np.asarray(profile.edges, dtype=float)[:, None]
     phase[:-1] = np.exp(1j * lam[1:-1] * (eps[1:-1] + m) * (z[1:] - z[:-1]))
     rho, tau = _star_reduce(s11, 2.0 * lam[1:] / total * phase, 2.0 * lam[:-1] / total * phase, -s11 * phase**2)
 
@@ -186,9 +187,10 @@ def step_transmission(alt: Alternative, v0: float, e, constants: Constants = DEF
     T = 4r/(1+r)^2 with r = lam_out/lam_in; everywhere below that edge no
     current can enter the step and T = 0.  D1 also transmits in the Klein
     zone m < E < V0 - m, where the step supports lower-branch propagating
-    modes.  ``e`` is one energy or a 1-D array of them.
+    modes.  ``e`` is one energy or a 1-D array of them.  The step is checked
+    as a two-region :class:`PotentialProfile`, so a non-finite ``v0`` raises.
     """
-    return _transmission(alt, (0.0, float(v0)), (0.0,), e, constants)
+    return _transmission(alt, PotentialProfile(edges=(0.0,), values=(0.0, float(v0))), e, constants)
 
 
 def barrier_transmission(
@@ -209,7 +211,7 @@ def barrier_transmission(
     incident side.  ``e`` is one energy (the result holds Python floats and a
     str) or a 1-D array of them (the result holds arrays).
     """
-    return _transmission(alt, profile.values, profile.edges, e, constants)
+    return _transmission(alt, profile, e, constants)
 
 
 # --- bound states -------------------------------------------------------------

@@ -143,3 +143,39 @@ def gaussian_packet(d_width, grid, center=0.0, d_scale=1.0):
     dstar = d_scale * b * q / ((q * q + M * M) ** 0.5 + M)
     norm = math.sqrt(float(np.sum(np.abs(b) ** 2 + np.abs(dstar) ** 2)) * (q[1] - q[0]))
     return Packet(p_grid=q, b=b / norm, dstar=dstar / norm)
+
+
+# --- dense 1-D grid Hamiltonians ----------------------------------------------------
+
+
+def grid_points(n, length):
+    """Positions (j - n/2) length/n and FFT momenta of a periodic grid of n points centred on 0."""
+    x = (np.arange(n) - n // 2) * (length / n)
+    return x, 2.0 * np.pi * np.fft.fftfreq(n, length / n)
+
+
+def grid_hamiltonians(v, length):
+    """(D1, D2) of the 2x2 reduction for the potential ``v`` sampled on ``grid_points(len(v), length)``.
+
+    The basis holds the upper component at every point, then the lower one.
+    H0 = sigma_x p + sigma_z m and S = sgn(H0) = H0/E_p are Fourier
+    multipliers, built by FFT, so both are exact in momentum space.  D1 is
+    H0 + V and D2 is H0 + {S, V}/2: the Hermitian operator form of the D2
+    coupling, which ``algebra-check``'s ``transform_D2_composite`` checks and
+    which reduces to sgn(E) V for a constant field.  It is not ``scatter1d``'s
+    per-energy rule eps = sgn(E)(|E| - V).
+    """
+    n = len(v)
+    _, p = grid_points(n, length)
+    e = np.sqrt(p * p + M * M)
+    columns = np.fft.fft(np.eye(n), axis=0)
+
+    def multiplier(symbol):
+        return np.fft.ifft(symbol[:, None] * columns, axis=0)
+
+    eye, pp = np.eye(n), multiplier(p)
+    h0 = np.block([[M * eye, pp], [pp, -M * eye]])
+    mass, kinetic = multiplier(M / e), multiplier(p / e)
+    s = np.block([[mass, kinetic], [kinetic, -mass]])
+    vv = np.concatenate((v, v))
+    return h0 + np.diag(vv), h0 + 0.5 * (s * vv + vv[:, None] * s)

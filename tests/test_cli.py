@@ -853,6 +853,8 @@ for argv in {_NUMPY_FREE_ARGVS!r}:
         exit_code = diracpair.cli.main(list(argv))
     assert exit_code == 0, (argv, exit_code)
     assert "numpy" not in sys.modules, argv
+diracpair.core.require_finite("x", (1.0, 2.0))
+assert "numpy" not in sys.modules, "require_finite on a tuple"
 """
     cp = run_fresh(code)
     assert cp.returncode == 0, cp.stderr

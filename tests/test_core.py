@@ -155,7 +155,7 @@ def test_require_finite():
 
 
 def _require_finite_before(name, value, positive=False):
-    """``require_finite`` with every value through np.asarray: the reference for its scalar branch."""
+    """``require_finite`` with every value through np.asarray: the reference for its ``math`` path."""
     x = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} must be finite, got {value!r}")
@@ -172,6 +172,7 @@ def _outcome(check, value, positive):
 
 
 _any_float = st.floats(allow_nan=True, allow_infinity=True)
+_numbers = st.one_of(_any_float, st.integers())
 _checked_values = st.one_of(
     _any_float,
     st.sampled_from((0.0, -0.0, 0, -1, 1, True, False, math.nan, math.inf, -math.inf)),
@@ -179,12 +180,13 @@ _checked_values = st.one_of(
     st.booleans(),
     _any_float.map(np.float64),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
-    st.lists(st.one_of(_any_float, st.integers()), min_size=1, max_size=1),
+    st.lists(_numbers, min_size=1, max_size=5),
+    st.lists(_numbers, min_size=1, max_size=5).map(tuple),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(value=_checked_values, positive=st.booleans())
 @example(value=10**400, positive=False)
-def test_require_finite_scalar_branch_matches_array_check(value, positive):
+def test_require_finite_matches_array_check(value, positive):
     assert _outcome(require_finite, value, positive) == _outcome(_require_finite_before, value, positive)

@@ -98,6 +98,15 @@ def test_same_shell_transition_is_twice_the_level():
     assert tr.delta_eps == pytest.approx(757.44, abs=0.05)
 
 
+def test_every_default_transition_lies_inside_the_gap():
+    # a bound pair excitation needs 0 < delta_eps < 2m; held for point nuclei below the critical charge
+    ions = [ion for ion in hyd.ION_DATABASE.values() if ion.Z * ALPHA < 1.0]
+    assert len(ions) == len(hyd.ION_DATABASE)
+    for ion in ions:
+        for row in hyd.transition_table(ion):
+            assert 0.0 < row.delta_eps < 2.0 * M, row.name
+
+
 def test_transition_table_sorted_and_stable():
     rows = hyd.transition_table(PB)
     assert len(rows) == len(hyd.DEFAULT_SHELL_PAIRS)

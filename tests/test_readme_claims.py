@@ -1,6 +1,6 @@
 """The README's claims table names only checks that exist.
 
-Each row of the table under "D2's claims and the checks that hold them" maps
+Each row of the table under "The abstract's claims and the checks that hold them" maps
 one claim of the abstract to tests, written ``file::name``, and to
 ``algebra-check`` identities, written by the name the command prints.  A
 renamed or deleted test or identity fails here, so the table cannot rot.
@@ -14,7 +14,7 @@ from pathlib import Path
 from diracpair.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
-HEADING = "## D2's claims and the checks that hold them"
+HEADING = "## The abstract's claims and the checks that hold them"
 CLAIMS = (
     "charge conjugation is preserved",
     "the Ehrenfest equations are classical",
@@ -22,6 +22,9 @@ CLAIMS = (
     "unstable vacua are forbidden",
     "zitterbewegung is absent from the charge current",
     "every positive-energy result equals D1's",
+    "bound electron-positron pairs can be excited in atoms",
+    "the energies of low-energy pair production are well described",
+    "pairs tend to disappear at higher beam currents",
 )
 
 

@@ -461,3 +461,7 @@ def test_profile_rejects_non_finite_numbers():
         sc.PotentialProfile(edges=(0.0, math.inf), values=(0.0, M, 0.0))
     with pytest.raises(ValueError):
         sc.PotentialProfile.barrier(M, math.nan)
+    for alt in (D1, D2):
+        for v0 in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="profile values"):
+                sc.step_transmission(alt, v0, 1000.0)
