@@ -22,6 +22,7 @@ the first 0.1-degree grid step that brackets the target.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .core import Constants, DEFAULT_CONSTANTS, bisect_root, require_finite
@@ -45,25 +46,21 @@ class IonBoost:
     beta_i: float
 
 
-@dataclass(frozen=True)
-class PairSolution:
+class PairSolution(
+    namedtuple("PairSolution", "branch theta_e r_parameter gamma_e t_lab e_cm p_cm delta_ke k_cm", defaults=(0.0, 0.0))
+):
     """One branch solution at a given opening half-angle.
 
-    ``e_cm``/``p_cm`` are the pair energy and longitudinal momentum in the ion
-    frame; ``delta_ke`` (ion kinetic-energy change entering the line position)
-    and ``k_cm`` (pair center-of-mass kinetic energy) are retained as explicit
-    fields but fixed to zero under the near-threshold assumptions.
+    ``theta_e`` is in radians and the energies ``t_lab``, ``e_cm``, ``p_cm``
+    in keV.  ``e_cm``/``p_cm`` are the pair energy and longitudinal momentum
+    in the ion frame; ``delta_ke`` (ion kinetic-energy change entering the
+    line position) and ``k_cm`` (pair center-of-mass kinetic energy) are
+    retained as explicit fields but fixed to zero under the near-threshold
+    assumptions.  A named tuple, not a frozen dataclass: the angle scan
+    builds one per evaluation.
     """
 
-    branch: str
-    theta_e: float  # radians
-    r_parameter: float
-    gamma_e: float
-    t_lab: float  # keV
-    e_cm: float  # keV
-    p_cm: float  # keV
-    delta_ke: float = 0.0
-    k_cm: float = 0.0
+    __slots__ = ()
 
 
 def boost_from_beam_energy(x: float) -> IonBoost:

@@ -861,7 +861,7 @@ assert "numpy" not in sys.modules, "require_finite on a tuple"
 
 
 def test_numpy_free_subcommands_read_their_data_without_importlib_resources():
-    # -S, because a site module may preload both, as a clean interpreter does not
+    # -S, because a site module may preload them, as a clean interpreter does not
     code = f"""
 import contextlib, io, sys
 import diracpair.cli
@@ -869,7 +869,7 @@ for argv in {_NUMPY_FREE_ARGVS + (("match", "--catalog", CATALOG_576),)!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         exit_code = diracpair.cli.main(list(argv))
     assert exit_code == 0, (argv, exit_code)
-    loaded = [m for m in ("importlib.resources", "pathlib") if m in sys.modules]
+    loaded = [m for m in ("importlib.resources", "pathlib", "typing") if m in sys.modules]
     assert not loaded, (argv, loaded)
 """
     cp = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=child_env())

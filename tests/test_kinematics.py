@@ -103,6 +103,20 @@ def test_pair_solution_fields():
     assert sol.delta_ke == 0.0 and sol.k_cm == 0.0
 
 
+def test_pair_solution_is_immutable_hashable_and_equal_by_fields():
+    theta = math.radians(52.0)
+    sol = kin.lab_pair_energy(BOOST6, 900.0, theta, "-")
+    again = kin.lab_pair_energy(BOOST6, 900.0, theta, "-")
+    assert sol is not again and sol == again and hash(sol) == hash(again)
+    assert len({sol, again}) == 1
+    for name, value in (("t_lab", 0.0), ("branch", "+"), ("unlisted", 1.0)):
+        with pytest.raises(AttributeError):
+            setattr(sol, name, value)
+    assert sol == again
+    bare = kin.PairSolution(branch="+", theta_e=theta, r_parameter=0.1, gamma_e=1.5, t_lab=500.0, e_cm=1533.0, p_cm=-300.0)
+    assert bare.delta_ke == 0.0 and bare.k_cm == 0.0
+
+
 def test_lorentz_transform_consistency_minus_branch():
     # 2m + T_lab = gamma_I (E' + beta_I P') holds exactly on the '-' branch
     for deps in (500.0, 818.8, 1000.0):

@@ -50,10 +50,23 @@ def _public_definitions(tree):
 
 
 def _members(tree):
-    """(class name, member name, node) of each non-dunder annotated field, property and method of a class."""
+    """(class name, member name, node) of each non-dunder annotated field, property and method of a class.
+
+    A class built on a ``namedtuple("Name", "field ...")`` call also has the fields that call names.
+    """
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
+        for base in cls.bases:
+            if (
+                isinstance(base, ast.Call)
+                and isinstance(base.func, ast.Name)
+                and base.func.id == "namedtuple"
+                and len(base.args) > 1
+                and isinstance(base.args[1], ast.Constant)
+            ):
+                for name in base.args[1].value.split():
+                    yield cls.name, name, base
         for node in cls.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = node.name
